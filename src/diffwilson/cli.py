@@ -27,8 +27,9 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import factorial, format_poly, format_rational, parse_rational, poly_const
 from .identity import (
@@ -40,7 +41,6 @@ from .identity import (
     verify_lower_power_sum,
 )
 from .modular import (
-    alternating_power_sum_at_zero,
     binomial_row_mod,
     fermat_check,
     identity_at_zero_mod,
@@ -291,16 +291,11 @@ def _cmd_congruence(args: argparse.Namespace) -> int:
     }
     lines = [f"congruence {args.kind} p={p} modulus={report.modulus}"]
 
-    if args.kind == "eq1":
-        exact_lhs = alternating_power_sum_at_zero(p)
-        exact_expected = factorial(p - 1)
-        payload["exact_lhs"] = str(exact_lhs)
-        payload["exact_expected"] = str(exact_expected)
-        payload["exact_equal"] = exact_lhs == exact_expected
-        lines.append(
-            f"exact: lhs={exact_lhs} expected={exact_expected}"
-            f" equal={_b(exact_lhs == exact_expected)}"
-        )
+    if report.exact_lhs is not None:
+        lhs, expected = str(report.exact_lhs), str(report.exact_expected)
+        equal = report.exact_lhs == report.exact_expected
+        payload.update(exact_lhs=lhs, exact_expected=expected, exact_equal=equal)
+        lines.append(f"exact: lhs={lhs} expected={expected} equal={_b(equal)}")
 
     payload["entries"] = [
         {"index": str(e.index), "residue": str(e.residue), "expected": str(e.expected)}
@@ -451,10 +446,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift CPython's int/str digit limit (3.10.7 and later) until exit.
+
+    n! passes the default 4300 digits from n = 1559 on, so printing a
+    result the checks confirmed would otherwise raise.  The old limit is
+    restored on exit, so in-process callers see no global change.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    saved = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    # Arguments are parsed under the default limit, which keeps refusing
+    # numeric literals too long to convert cheaply.
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with _unlimited_int_digits():
+            return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,10 +3,17 @@
 Integers are plain Python ints, which are arbitrary-precision natively.
 Rationals are ``fractions.Fraction``, which guarantees the canonical form
 relied on throughout: reduced to lowest terms, positive denominator, zero
-stored as 0/1.  Polynomials are immutable tuples of Fraction coefficients
-in ascending power order with no trailing zero entries; the zero polynomial
+stored as 0/1.  Polynomials are immutable tuples of coefficients in
+ascending power order with no trailing zero entries; the zero polynomial
 is the empty tuple.  Every operation returns canonical values, so ``==``
 on any two results is exact mathematical equality.
+
+``poly_shift`` and ``poly_axpy`` work over whatever coefficient ring they
+are given and coerce nothing: int coefficients with an int shift or scale
+give int coefficients (int in, int out), and any Fraction among the inputs
+makes the affected outputs Fraction.  Integer work thus skips Fraction's
+per-operation gcd normalisation; the public identity results convert to
+Fraction once, where they are returned.
 
 Serialization contract (consumed by the CLI): integers as decimal strings,
 rationals as ``"num/den"`` strings, polynomials as ascending coefficient
@@ -34,12 +41,8 @@ __all__ = [
     "poly_const",
     "poly_degree",
     "poly_derivative",
-    "poly_eval",
-    "poly_from_coeffs",
     "poly_is_zero",
-    "poly_mul",
     "poly_shift",
-    "rational_make",
 ]
 
 Poly = tuple[Fraction, ...]
@@ -102,13 +105,6 @@ def binomial_row(n: int) -> list[int]:
     return row
 
 
-def rational_make(num: int, den: int) -> Fraction:
-    """Canonical rational num/den: positive denominator, reduced by gcd."""
-    if den == 0:
-        raise ValueError("rational denominator must be nonzero")
-    return Fraction(num, den)
-
-
 _RATIONAL_RE = re.compile(r"\A([+-]?\d+)(?:/([+-]?\d+))?\Z")
 
 
@@ -122,7 +118,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not an integer or num/den rational: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
-    return rational_make(num, den)
+    if den == 0:
+        raise ValueError("rational denominator must be nonzero")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:
@@ -135,17 +133,12 @@ def format_poly(p: Poly) -> list[str]:
     return [format_rational(c) for c in p]
 
 
-def _canonical(coeffs: list[Fraction]) -> Poly:
+def _canonical(coeffs: list) -> Poly:
     """Strip trailing zero coefficients and freeze."""
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
-
-
-def poly_from_coeffs(coeffs) -> Poly:
-    """Build a canonical polynomial from ascending int/Fraction coefficients."""
-    return _canonical([Fraction(c) for c in coeffs])
 
 
 def poly_const(c: Fraction | int) -> Poly:
@@ -174,40 +167,29 @@ def poly_degree(p: Poly) -> int:
 
 
 def poly_axpy(a: Fraction | int, p: Poly, q: Poly) -> Poly:
-    """a*p + q, coefficientwise."""
-    a = Fraction(a)
+    """a*p + q, coefficientwise, in the ring of a, p and q (int in, int out)."""
     if not a:
         return q
-    out = list(q) + [_ZERO] * (len(p) - len(q))
+    out = list(q) + [0] * (len(p) - len(q))
     for k, c in enumerate(p):
         out[k] += a * c
     return _canonical(out)
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    """Exact convolution product."""
-    if not p or not q:
-        return POLY_ZERO
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _canonical(out)
-
-
 def poly_shift(p: Poly, c: Fraction | int) -> Poly:
-    """p(X + c), each (X + c)**k expanded exactly by the binomial theorem."""
-    c = Fraction(c)
+    """p(X + c), each (X + c)**k expanded exactly by the binomial theorem.
+
+    Computed in the ring of p and c: int coefficients shifted by an int stay
+    int (int in, int out).
+    """
     if not c or len(p) <= 1:
         return p
-    out = [_ZERO] * len(p)
+    out = [0] * len(p)
     for k, a in enumerate(p):
         if not a:
             continue
         row = binomial_row(k)
-        ck = _ONE  # c**(k - j), j descending from k
+        ck = 1  # c**(k - j), j descending from k
         for j in range(k, -1, -1):
             out[j] += a * row[j] * ck
             ck *= c
@@ -217,12 +199,3 @@ def poly_shift(p: Poly, c: Fraction | int) -> Poly:
 def poly_derivative(p: Poly) -> Poly:
     """Formal derivative; constants map to the zero polynomial."""
     return _canonical([k * c for k, c in enumerate(p)][1:])
-
-
-def poly_eval(p: Poly, x: Fraction | int) -> Fraction:
-    """Value of p at x by Horner's rule."""
-    x = Fraction(x)
-    acc = _ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc

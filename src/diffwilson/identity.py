@@ -7,10 +7,16 @@ The central object is the alternating sum
 which collapses to the constant n! for every n >= 0, independent of x.
 Lowering the exponent to n - j for any 1 <= j <= n makes the same sum
 vanish identically.  Each identity is checked along two routes that share
-nothing beyond the exact core: literal pointwise evaluation in exact
-rational arithmetic, and symbolic expansion into a polynomial whose
-coefficients must cancel.  A disagreement between the routes can only be
-an implementation bug, never rounding.
+nothing beyond the exact core: literal pointwise evaluation, and symbolic
+expansion into a polynomial whose coefficients must cancel.  A
+disagreement between the routes can only be an implementation bug, never
+rounding.
+
+Both routes run on the integer lattice and convert to Fraction once, when
+the result is returned.  Pointwise, x = a/b makes each term
+C(n,i) (a - i*b)^m / b^m, so the numerators are summed as ints and the sum
+is divided by b^m once.  Symbolically, X^m shifted by an integer -i has
+int coefficients, and so do the binomial weights.
 
 The alternating sum is also the n-th backward difference of X^n, which
 ``backward_difference`` realises operator-style for cross-checking.
@@ -26,9 +32,9 @@ from .exact import (
     POLY_ZERO,
     Poly,
     binomial,
+    binomial_row,
     factorial,
     falling_factorial,
-    monomial,
     poly_axpy,
     poly_derivative,
     poly_is_zero,
@@ -74,41 +80,42 @@ def _require_j(n: int, j: int) -> None:
         raise ValueError(f"j must satisfy 1 <= j <= n, got j={j} with n={n}")
 
 
+def _alternating_sum_at(n: int, exponent: int, x: Fraction | int) -> Fraction:
+    # sum_i (-1)^i C(n,i) (x - i)^exponent over the ints, with x = a/b.
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    total = 0
+    for i, weight in enumerate(binomial_row(n)):
+        term = weight * (a - i * b) ** exponent
+        total = total + term if i % 2 == 0 else total - term
+    return Fraction(total, b**exponent)
+
+
 def eval_difference_sum(n: int, x: Fraction | int) -> Fraction:
     """The alternating sum at rational x, accumulated literally i = 0..n.
 
     Equals n! for every x, but no shortcut is taken: each (x - i)^n term
-    is computed and summed in exact rational arithmetic.
+    is computed exactly and summed.
     """
     _require_n(n)
-    x = Fraction(x)
-    total = Fraction(0)
-    for i in range(n + 1):
-        term = binomial(n, i) * (x - i) ** n
-        total = total + term if i % 2 == 0 else total - term
-    return total
+    return _alternating_sum_at(n, n, x)
 
 
 def eval_lower_power_sum(n: int, j: int, x: Fraction | int) -> Fraction:
     """The alternating sum with exponent lowered to n - j; equals 0 for 1 <= j <= n."""
     _require_j(n, j)
-    x = Fraction(x)
-    total = Fraction(0)
-    for i in range(n + 1):
-        term = binomial(n, i) * (x - i) ** (n - j)
-        total = total + term if i % 2 == 0 else total - term
-    return total
+    return _alternating_sum_at(n, n - j, x)
 
 
 def _alternating_expansion(n: int, exponent: int) -> Poly:
     # sum_i (-1)^i C(n,i) (X - i)^exponent with each power expanded via poly_shift.
     acc = POLY_ZERO
-    base = monomial(exponent)
+    base = (0,) * exponent + (1,)  # X^exponent over the ints; monomial() is Fraction
     for i in range(n + 1):
         shifted = poly_shift(base, -i)
         weight = binomial(n, i)
         acc = poly_axpy(weight if i % 2 == 0 else -weight, shifted, acc)
-    return acc
+    return tuple(Fraction(c) for c in acc)
 
 
 def symbolic_difference_poly(n: int) -> Poly:
@@ -128,12 +135,15 @@ def symbolic_lower_power_poly(n: int, j: int) -> Poly:
 
 
 def backward_difference(p: Poly, order: int) -> Poly:
-    """order-fold backward difference, where (del p)(X) = p(X) - p(X-1)."""
+    """order-fold backward difference, where (del p)(X) = p(X) - p(X-1).
+
+    Runs in the ring of p's coefficients; the result has Fraction coefficients.
+    """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     for _ in range(order):
         p = poly_axpy(-1, poly_shift(p, -1), p)
-    return p
+    return tuple(Fraction(c) for c in p)
 
 
 def verify_difference_sum(n: int, x: Fraction | int) -> VerificationResult:

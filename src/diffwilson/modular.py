@@ -45,12 +45,18 @@ class CongruenceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    """One modular check; holds iff residue == expected for every entry."""
+    """One modular check; holds iff residue == expected for every entry.
+
+    A check that first compares exact integers before reducing them (the
+    identity at x = 0) also carries those two values.
+    """
 
     check: str
     modulus: int
     entries: tuple[CongruenceEntry, ...]
     holds: bool
+    exact_lhs: int | None = None
+    exact_expected: int | None = None
 
 
 @dataclass(frozen=True)
@@ -211,17 +217,19 @@ def identity_at_zero_mod(p: int) -> CongruenceReport:
 
     The exact (unreduced) sum must equal (p-1)!; a mismatch would mean
     broken arithmetic, so it raises rather than reports.  The entry then
-    compares the sum mod p with factorial_mod(p-1, p).
+    compares the sum mod p with factorial_mod(p-1, p).  The report carries
+    both exact values.
     """
     lhs = alternating_power_sum_at_zero(p)
-    if lhs != factorial(p - 1):
-        raise ArithmeticError(
-            f"alternating sum at zero for p={p} is {lhs}, not (p-1)!"
-        )
+    expected = factorial(p - 1)
+    if lhs != expected:
+        raise ArithmeticError(f"alternating sum at zero for p={p} is not (p-1)!")
     entry = CongruenceEntry(0, lhs % p, factorial_mod(p - 1, p))
     return CongruenceReport(
         check="identity-at-zero",
         modulus=p,
         entries=(entry,),
         holds=entry.residue == entry.expected,
+        exact_lhs=lhs,
+        exact_expected=expected,
     )

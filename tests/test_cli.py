@@ -6,14 +6,16 @@ cannot produce, so those paths are driven by monkeypatched verifiers.
 """
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from diffwilson import cli
+from diffwilson import cli, modular
 from diffwilson.exact import parse_rational
 from diffwilson.identity import VerificationResult
 from diffwilson.modular import PrimalityVerdict
@@ -116,6 +118,61 @@ def test_congruence_large_prime_holds(capsys):
         payload = json.loads(capsys.readouterr().out)
         assert payload["holds"] is True
         assert payload["check"] == f"congruence-{kind}"
+
+
+def test_congruence_eq1_computes_the_exact_sum_once(capsys, monkeypatch):
+    calls = []
+    real = modular.alternating_power_sum_at_zero
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(modular, "alternating_power_sum_at_zero", counted)
+    monkeypatch.setattr(cli, "alternating_power_sum_at_zero", counted, raising=False)
+    assert cli.main(["congruence", "eq1", "13", "--json"]) == 0
+    assert calls == [13]
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exact_lhs"] == payload["exact_expected"] == str(math.factorial(12))
+
+
+# Results past CPython's 4300-digit int/str limit.
+
+
+@contextmanager
+def _int_digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.10.7"
+)
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["identity", "--n", "1559", "--x", "1", "--json"], math.factorial(1559)),
+        (["congruence", "eq1", "1567", "--json"], math.factorial(1566)),
+    ],
+    ids=["identity-n1559", "eq1-p1567"],
+)
+def test_results_past_the_int_digit_limit(capsys, argv, value):
+    with _int_digit_limit(4300):
+        assert cli.main(argv) == 0
+        assert sys.get_int_max_str_digits() == 4300  # lifted only while main runs
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "holds"
+    with _int_digit_limit(0):
+        digits = str(value)
+    if argv[0] == "identity":
+        assert payload["lhs"] == payload["rhs"] == f"{digits}/1"
+    else:
+        assert payload["exact_lhs"] == payload["exact_expected"] == digits
+        assert payload["exact_equal"] is True
 
 
 def test_module_entry_point_runs():
@@ -235,6 +292,18 @@ def test_argparse_rejections_exit_2(capsys, argv):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_zero_denominator_exits_2_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffwilson", "identity", "--n", "3", "--x", "1/0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "invalid rational value: '1/0'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_default_wilson_bound_is_enforced(capsys):

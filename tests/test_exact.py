@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from poly_oracle import poly_eval, poly_from_coeffs, poly_mul
 
 from diffwilson.exact import (
     POLY_ONE,
@@ -22,12 +23,8 @@ from diffwilson.exact import (
     poly_const,
     poly_degree,
     poly_derivative,
-    poly_eval,
-    poly_from_coeffs,
     poly_is_zero,
-    poly_mul,
     poly_shift,
-    rational_make,
 )
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
@@ -113,21 +110,6 @@ def test_pascal_identity():
 
 
 @pytest.mark.parametrize(
-    "num,den,expected",
-    [(4, 8, Fraction(1, 2)), (3, -6, Fraction(-1, 2)), (0, 5, Fraction(0))],
-)
-def test_rational_make_canonical(num, den, expected):
-    q = rational_make(num, den)
-    assert q == expected
-    assert q.denominator > 0
-
-
-def test_rational_make_rejects_zero_denominator():
-    with pytest.raises(ValueError, match="nonzero"):
-        rational_make(1, 0)
-
-
-@pytest.mark.parametrize(
     "text,expected",
     [
         ("7", Fraction(7)),
@@ -136,10 +118,15 @@ def test_rational_make_rejects_zero_denominator():
         (" 2/4 ", Fraction(1, 2)),
         ("5/-10", Fraction(-1, 2)),
         ("0", Fraction(0)),
+        ("4/8", Fraction(1, 2)),
+        ("3/-6", Fraction(-1, 2)),
+        ("0/5", Fraction(0)),
     ],
 )
 def test_parse_rational_accepts(text, expected):
-    assert parse_rational(text) == expected
+    q = parse_rational(text)
+    assert q == expected
+    assert q.denominator > 0
 
 
 @pytest.mark.parametrize("text", ["1.5", "a", "1/2/3", "", "1e3", "1 /2", "/3"])
@@ -194,6 +181,11 @@ def test_poly_axpy_examples():
     assert poly_axpy(3, p, q) == poly_from_coeffs([5, 2])
     assert poly_axpy(0, p, q) == q
     assert poly_axpy(-1, p, p) == POLY_ZERO
+    # Int in, int out; a Fraction scale or coefficient gives Fraction results.
+    out = poly_axpy(3, (1, 2), (5, 0, 1))
+    assert out == (8, 6, 1) and all(type(c) is int for c in out)
+    assert poly_axpy(Fraction(1, 2), (2, 1), (1,)) == (2, Fraction(1, 2))
+    assert poly_axpy(3, (Fraction(1, 2),), (0, 1)) == (Fraction(3, 2), 1)
 
 
 def test_poly_mul_examples():
@@ -209,6 +201,48 @@ def test_poly_shift_examples():
     assert poly_shift(monomial(2), -1) == poly_from_coeffs([1, -2, 1])
     assert poly_shift(monomial(2), 0) == monomial(2)
     assert poly_shift(poly_const(5), 3) == poly_const(5)
+    out = poly_shift((0, 0, 1), -2)
+    assert out == (4, -4, 1) and all(type(c) is int for c in out)
+    # (X + 1/2)**2 from int coefficients; (X - 1)/2 from a Fraction one.
+    assert poly_shift((0, 0, 1), Fraction(1, 2)) == (Fraction(1, 4), 1, 1)
+    assert poly_shift((0, Fraction(1, 2)), -1) == (Fraction(-1, 2), Fraction(1, 2))
+
+
+def _strip(coeffs):
+    # Canonical form without coercion, so int and Fraction entries stay mixed.
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+mixed = st.one_of(st.integers(-50, 50), rationals)
+mixed_polys = st.lists(mixed, max_size=6).map(_strip)
+
+
+@given(mixed_polys, mixed, mixed)
+def test_poly_shift_mixed_agrees_with_eval(p, c, x):
+    assert poly_eval(poly_shift(p, c), x) == poly_eval(p, x + c)
+    assert poly_shift(p, c) == poly_shift(poly_from_coeffs(p), Fraction(c))
+
+
+@given(mixed, mixed_polys, mixed_polys, mixed)
+def test_poly_axpy_mixed_agrees_with_eval(a, p, q, x):
+    out = poly_axpy(a, p, q)
+    assert poly_eval(out, x) == a * poly_eval(p, x) + poly_eval(q, x)
+    assert out == poly_axpy(Fraction(a), poly_from_coeffs(p), poly_from_coeffs(q))
+
+
+int_polys = st.lists(st.integers(-50, 50), max_size=6).map(_strip)
+
+
+@given(int_polys, st.integers(-20, 20), st.integers(-20, 20))
+def test_poly_shift_and_axpy_int_in_int_out(p, c, a):
+    shifted = poly_shift(p, c)
+    scaled = poly_axpy(a, p, shifted)
+    assert all(type(v) is int for v in p + shifted + scaled)
+    fp = poly_from_coeffs(p)
+    assert shifted == poly_shift(fp, Fraction(c))
+    assert scaled == poly_axpy(Fraction(a), fp, poly_shift(fp, Fraction(c)))
 
 
 def test_poly_derivative_examples():

@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from poly_oracle import poly_from_coeffs, poly_mul
 
 from diffwilson.exact import POLY_ZERO, factorial, monomial, poly_const
 from diffwilson.identity import (
+    _alternating_expansion,
+    _alternating_sum_at,
     backward_difference,
     derivative_collapse_check,
     difference_table,
@@ -26,9 +29,31 @@ from diffwilson.identity import (
 rationals = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000))
 
 
+# Negative numerators over large denominators: a wrong power of the
+# denominator in the lattice sum changes the value by a large factor.
+lattice_points = st.builds(Fraction, st.integers(-10**6, -1), st.integers(10**4, 10**7))
+
+
 def oracle_sum(n, exponent, x):
     # Independent route: stdlib comb, builtin pow and sum, no shared helpers.
     return sum((-1) ** i * math.comb(n, i) * (x - i) ** exponent for i in range(n + 1))
+
+
+def oracle_expansion(n, exponent):
+    # Independent of poly_shift: each (X - i)**exponent by repeated
+    # convolution, accumulated in Fraction.
+    acc = [Fraction(0)] * (exponent + 1)
+    for i in range(n + 1):
+        power = (Fraction(1),)
+        for _ in range(exponent):
+            power = poly_mul(power, (Fraction(-i), Fraction(1)))
+        for k, c in enumerate(power):
+            acc[k] += (-1) ** i * math.comb(n, i) * c
+    return poly_from_coeffs(acc)
+
+
+def all_fractions(poly):
+    return type(poly) is tuple and all(type(c) is Fraction for c in poly)
 
 
 @pytest.mark.parametrize(
@@ -80,6 +105,33 @@ def test_lower_power_sum_matches_oracle(n, data):
 @given(st.integers(0, 20), rationals, rationals)
 def test_difference_sum_is_x_independent(n, x1, x2):
     assert eval_difference_sum(n, x1) == eval_difference_sum(n, x2)
+
+
+@given(st.integers(0, 15), st.integers(1, 5), st.one_of(lattice_points, rationals))
+def test_lattice_sum_above_degree_matches_oracle(n, extra, x):
+    # Above degree n the sum is a nonconstant polynomial in x, so its value
+    # at x shows the b**exponent scaling that n! and 0 would hide.
+    assert _alternating_sum_at(n, n + extra, x) == oracle_sum(n, n + extra, x)
+
+
+def test_symbolic_expansion_above_degree_matches_oracle():
+    for n in range(9):
+        for exponent in range(n + 1, n + 4):
+            poly = _alternating_expansion(n, exponent)
+            assert all_fractions(poly)
+            assert len(poly) == exponent - n + 1
+            assert poly == oracle_expansion(n, exponent)
+
+
+def test_routes_return_fraction_coefficients():
+    polys = [symbolic_difference_poly(n) for n in range(8)]
+    polys += [symbolic_lower_power_poly(6, j) for j in range(1, 7)]
+    polys += [backward_difference(monomial(5), k) for k in range(7)]
+    polys += [backward_difference((0, 0, 0, 1), k) for k in range(3)]
+    assert all(all_fractions(p) for p in polys)
+    for x in (3, Fraction(-2, 7)):
+        assert type(eval_difference_sum(4, x)) is Fraction
+        assert type(eval_lower_power_sum(4, 2, x)) is Fraction
 
 
 def test_symbolic_difference_poly_is_constant_factorial():

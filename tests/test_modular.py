@@ -215,6 +215,7 @@ def test_identity_at_zero_mod_values():
     report = identity_at_zero_mod(5)
     assert report.check == "identity-at-zero"
     assert report.entries == (modular.CongruenceEntry(0, 4, 4),)
+    assert (report.exact_lhs, report.exact_expected) == (24, 24)
     assert report.holds
 
 
@@ -223,6 +224,7 @@ def test_identity_at_zero_mod_all_small_primes():
         report = identity_at_zero_mod(p)
         assert report.holds
         assert report.entries[0].residue == p - 1
+        assert report.exact_lhs == report.exact_expected == factorial(p - 1)
 
 
 def test_identity_at_zero_mod_rejects_bad_p():
