@@ -140,6 +140,12 @@ def test_parse_rational_rejects_zero_denominator():
         parse_rational("7/0")
 
 
+def test_rational_make_rejects_zero_denominator():
+    # rational_make(1, 0) was inlined into parse_rational; its check stays there.
+    with pytest.raises(ValueError, match="nonzero"):
+        parse_rational("1/0")
+
+
 @pytest.mark.parametrize(
     "q,expected",
     [(Fraction(6), "6/1"), (Fraction(-1, 2), "-1/2"), (Fraction(0), "0/1")],
