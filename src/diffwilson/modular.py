@@ -15,8 +15,8 @@ independent primality oracle throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
-from typing import NamedTuple
+from math import isqrt, prod
+from typing import Iterator, NamedTuple
 
 from .exact import binomial_row, factorial
 
@@ -33,6 +33,7 @@ __all__ = [
     "power_sum_mod",
     "smallest_divisor",
     "trial_division",
+    "wilson_sweep",
     "wilson_test",
 ]
 
@@ -115,23 +116,43 @@ def trial_division(n: int) -> bool:
     return smallest_divisor(n) is None
 
 
+def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
+    """Wilson verdicts for every n in lo..hi, in ascending order.
+
+    One running product serves the whole range: f starts as (lo-1)! mod M,
+    with M the product of lo..hi, and is multiplied by n after each step.
+    Every n divides M, so f mod n is (n-1)! mod n for each n in turn; no n
+    is skipped, prime or composite, and trial division checks every one.
+    Costs lo-2 multiplications mod M, then one multiplication and one
+    reduction per n on an integer of about log2(hi!) bits.  A range that
+    starts at 2 has an empty prefix, so M is never formed.
+    """
+    if lo < 2:
+        raise ValueError(f"wilson test needs n >= 2, got {lo}")
+    if hi < lo:
+        return
+    f = 1 if lo == 2 else factorial_mod(lo - 1, prod(range(lo, hi + 1)))
+    for n in range(lo, hi + 1):
+        residue = f % n
+        is_prime = residue == n - 1
+        yield PrimalityVerdict(
+            n=n,
+            wilson_residue=residue,
+            is_prime=is_prime,
+            oracle_agrees=is_prime == trial_division(n),
+        )
+        f *= n
+
+
 def wilson_test(n: int) -> PrimalityVerdict:
     """Primality verdict from the factorial residue (n-1)! mod n.
 
     The residue equals n-1 exactly for primes, so this is a complete (if
     slow, O(n) multiplications) primality test; oracle_agrees records
-    whether trial division reaches the same verdict.
+    whether trial division reaches the same verdict.  It is the
+    one-element wilson_sweep, whose prefix is factorial_mod(n-1, n).
     """
-    if n < 2:
-        raise ValueError(f"wilson test needs n >= 2, got {n}")
-    residue = factorial_mod(n - 1, n)
-    is_prime = residue == n - 1
-    return PrimalityVerdict(
-        n=n,
-        wilson_residue=residue,
-        is_prime=is_prime,
-        oracle_agrees=is_prime == trial_division(n),
-    )
+    return next(wilson_sweep(n, n))
 
 
 def _require_prime(p: int) -> None:

@@ -34,6 +34,7 @@ from diffwilson.modular import (
     identity_at_zero_mod,
     power_sum_mod,
     trial_division,
+    wilson_sweep,
     wilson_test,
 )
 
@@ -122,18 +123,22 @@ def test_criterion_5_wilson_sweep():
     t0 = time.perf_counter()
     primes = 0
     agree = True
+    per_n = []
     for n in range(2, 10001):
         v = wilson_test(n)
+        per_n.append(v)
         agree = agree and v.oracle_agrees
         primes += v.is_prime
     composites = 9999 - primes
-    ok = agree and primes == 1229 and composites == 8770
+    swept = list(wilson_sweep(2, 10000)) == per_n
+    ok = agree and primes == 1229 and composites == 8770 and swept
     _report(
         5,
-        "wilson residue agrees with trial division for 2 <= n <= 10000",
+        "wilson residue agrees with trial division for 2 <= n <= 10000,"
+        " per n and in one sweep",
         ok,
         t0,
-        f"primes={primes} composites={composites}",
+        f"primes={primes} composites={composites} sweep_equal={swept}",
     )
 
 

@@ -112,6 +112,40 @@ def test_wilson_range_text_summary(capsys):
     assert lines[-1] == "status: holds"
 
 
+def _per_n_wilson_range(lo, hi, as_json):
+    """wilson-range output rendered from factorial_mod and trial division per n."""
+    lines, primes = [], 0
+    for n in range(lo, hi + 1):
+        residue = modular.factorial_mod(n - 1, n)
+        is_prime = modular.trial_division(n)
+        assert (residue == n - 1) == is_prime
+        primes += is_prime
+        if as_json:
+            payload = {
+                "schema_version": "1",
+                "check": "wilson",
+                "n": str(n),
+                "residue": str(residue),
+                "is_prime": is_prime,
+                "oracle_agrees": True,
+            }
+            lines.append(json.dumps(payload))
+        else:
+            flag = "true" if is_prime else "false"
+            lines.append(f"n={n}: residue={residue} is_prime={flag} oracle_agrees=true")
+    if not as_json:
+        lines.append(f"primes={primes} composites={hi - lo + 1 - primes} oracle_agrees=all")
+        lines.append("status: holds")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_wilson_range_matches_per_n_rendering(capsys, as_json):
+    argv = ["wilson-range", "2", "3000"] + (["--json"] if as_json else [])
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == _per_n_wilson_range(2, 3000, as_json)
+
+
 def test_congruence_large_prime_holds(capsys):
     for kind in ("binom", "fermat", "power-sum", "eq1"):
         assert cli.main(["congruence", kind, "101", "--json"]) == 0
@@ -185,6 +219,27 @@ def test_module_entry_point_runs():
     assert "is_prime=true" in proc.stdout
 
 
+def test_closed_pipe_exits_141_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diffwilson", "wilson-range", "2", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert head == [
+        "n=2: residue=1 is_prime=true oracle_agrees=true\n",
+        "n=3: residue=2 is_prime=true oracle_agrees=true\n",
+    ]
+    assert "Traceback" not in stderr
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+
+
 # exit code 1: violations, reachable only through broken verifiers
 
 
@@ -218,6 +273,7 @@ def test_lower_power_violation_exits_1(capsys, monkeypatch):
 def test_wilson_oracle_mismatch_exits_1(capsys, monkeypatch):
     fake = PrimalityVerdict(n=6, wilson_residue=0, is_prime=False, oracle_agrees=False)
     monkeypatch.setattr(cli, "wilson_test", lambda n: fake)
+    monkeypatch.setattr(cli, "wilson_sweep", lambda lo, hi: iter([fake]))
     assert cli.main(["wilson", "6"]) == 1
     assert "status: violated" in capsys.readouterr().out
     assert cli.main(["wilson-range", "6", "6"]) == 1

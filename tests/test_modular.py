@@ -4,6 +4,8 @@ the independent primality reference, and the congruence chain reports."""
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diffwilson.exact import factorial
 from diffwilson.identity import eval_difference_sum
@@ -18,6 +20,7 @@ from diffwilson.modular import (
     power_sum_mod,
     smallest_divisor,
     trial_division,
+    wilson_sweep,
     wilson_test,
 )
 
@@ -120,6 +123,73 @@ def test_wilson_test_matches_sieve():
 def test_wilson_test_rejects_small_n():
     with pytest.raises(ValueError, match="n >= 2"):
         wilson_test(1)
+
+
+# wilson_test is a one-element wilson_sweep, so the sweep is checked
+# against the primitives it is built from, never against wilson_test.
+
+
+def _assert_sweep_matches_primitives(lo, hi):
+    verdicts = list(wilson_sweep(lo, hi))
+    assert [v.n for v in verdicts] == list(range(lo, hi + 1))
+    for v in verdicts:
+        assert v.wilson_residue == factorial_mod(v.n - 1, v.n)
+        assert v.is_prime == trial_division(v.n)
+        assert v.oracle_agrees
+
+
+@given(st.integers(2, 400), st.integers(0, 60))
+def test_wilson_sweep_matches_factorial_mod_and_trial_division(lo, width):
+    _assert_sweep_matches_primitives(lo, lo + width)
+
+
+def test_wilson_sweep_at_2_and_4():
+    def rows(lo, hi):
+        return [
+            (v.n, v.wilson_residue, v.is_prime, v.oracle_agrees) for v in wilson_sweep(lo, hi)
+        ]
+
+    assert rows(2, 2) == [(2, 1, True, True)]
+    # 3! = 6 = 2 (mod 4): the only composite whose residue is not 0.
+    assert rows(4, 4) == [(4, 2, False, True)]
+    assert rows(2, 6) == [
+        (2, 1, True, True),
+        (3, 2, True, True),
+        (4, 2, False, True),
+        (5, 4, True, True),
+        (6, 0, False, True),
+    ]
+    assert rows(4, 9) == [
+        (4, 2, False, True),
+        (5, 4, True, True),
+        (6, 0, False, True),
+        (7, 6, True, True),
+        (8, 0, False, True),
+        (9, 0, False, True),
+    ]
+
+
+def test_wilson_sweep_consults_trial_division_for_every_n(monkeypatch):
+    asked = []
+
+    def lying_oracle(n):
+        asked.append(n)
+        return not PRIME[n]
+
+    monkeypatch.setattr(modular, "trial_division", lying_oracle)
+    verdicts = list(wilson_sweep(2, 50))
+    assert asked == list(range(2, 51))
+    assert not any(v.oracle_agrees for v in verdicts)
+
+
+def test_wilson_sweep_narrow_high_range():
+    _assert_sweep_matches_primitives(999990, 1000000)
+
+
+def test_wilson_sweep_empty_range_and_bad_start():
+    assert list(wilson_sweep(7, 6)) == []
+    with pytest.raises(ValueError, match="n >= 2"):
+        next(wilson_sweep(1, 5))
 
 
 def test_binomial_row_mod_example():
