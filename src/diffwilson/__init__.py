@@ -6,99 +6,11 @@ rationals, and dense rational-coefficient polynomials represented as tuples.
 Nothing here ever rounds, so every check is an equality, not a tolerance.
 """
 
-from .exact import (
-    POLY_ONE,
-    POLY_ZERO,
-    Poly,
-    binomial,
-    binomial_row,
-    factorial,
-    falling_factorial,
-    format_poly,
-    format_rational,
-    monomial,
-    parse_rational,
-    poly_axpy,
-    poly_const,
-    poly_degree,
-    poly_derivative,
-    poly_is_zero,
-    poly_shift,
-)
-from .identity import (
-    VerificationResult,
-    backward_difference,
-    derivative_collapse_check,
-    difference_table,
-    eval_difference_sum,
-    eval_lower_power_sum,
-    sample_rationals,
-    symbolic_difference_poly,
-    symbolic_lower_power_poly,
-    verify_difference_sum,
-    verify_lower_power_sum,
-)
-from .modular import (
-    CongruenceEntry,
-    CongruenceReport,
-    PrimalityVerdict,
-    alternating_power_sum_at_zero,
-    binomial_row_mod,
-    factorial_mod,
-    fermat_check,
-    identity_at_zero_mod,
-    mod_pow,
-    power_sum_mod,
-    smallest_divisor,
-    trial_division,
-    wilson_sweep,
-    wilson_test,
-)
+from . import exact, identity, modular
+from .exact import *  # noqa: F401,F403
+from .identity import *  # noqa: F401,F403
+from .modular import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "POLY_ONE",
-    "POLY_ZERO",
-    "Poly",
-    "binomial",
-    "binomial_row",
-    "factorial",
-    "falling_factorial",
-    "format_poly",
-    "format_rational",
-    "monomial",
-    "parse_rational",
-    "poly_axpy",
-    "poly_const",
-    "poly_degree",
-    "poly_derivative",
-    "poly_is_zero",
-    "poly_shift",
-    "VerificationResult",
-    "backward_difference",
-    "derivative_collapse_check",
-    "difference_table",
-    "eval_difference_sum",
-    "eval_lower_power_sum",
-    "sample_rationals",
-    "symbolic_difference_poly",
-    "symbolic_lower_power_poly",
-    "verify_difference_sum",
-    "verify_lower_power_sum",
-    "CongruenceEntry",
-    "CongruenceReport",
-    "PrimalityVerdict",
-    "alternating_power_sum_at_zero",
-    "binomial_row_mod",
-    "factorial_mod",
-    "fermat_check",
-    "identity_at_zero_mod",
-    "mod_pow",
-    "power_sum_mod",
-    "smallest_divisor",
-    "trial_division",
-    "wilson_sweep",
-    "wilson_test",
-    "__version__",
-]
+__all__ = exact.__all__ + identity.__all__ + modular.__all__ + ["__version__"]

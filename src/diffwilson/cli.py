@@ -10,10 +10,13 @@ Usage:
     diffwilson difftable --degree 2 --points 5
 
 Every subcommand accepts --json; range sweeps stream line-delimited JSON,
-one object per n, in ascending order.  Numeric parameters are exact
-integers or num/den rationals; floating-point literals are rejected.
-Integers serialize as decimal strings and rationals as "num/den" strings,
-so values survive any JSON consumer losslessly.
+one object per n, in ascending order.  --x, --trials, --seed and
+--symbolic belong to identity and lower-power, and --max-wilson to wilson
+and wilson-range; the other subcommands refuse them with exit code 2.
+Numeric parameters are exact integers or num/den rationals;
+floating-point literals are rejected.  Integers serialize as decimal
+strings and rationals as "num/den" strings, so values survive any JSON
+consumer losslessly.
 
 Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
@@ -45,6 +48,7 @@ from .identity import (
     verify_lower_power_sum,
 )
 from .modular import (
+    PrimalityVerdict,
     binomial_row_mod,
     fermat_check,
     identity_at_zero_mod,
@@ -72,22 +76,29 @@ def _b(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _status(holds: bool) -> str:
-    return "holds" if holds else "violated"
-
-
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+def _report(
+    args: argparse.Namespace,
+    check: str,
+    params: dict,
+    body: dict,
+    lines: list[str],
+    holds: bool,
+) -> int:
+    """Print one single-result report, JSON or text, and return its exit code."""
+    status = "holds" if holds else "violated"
     if args.json:
-        print(json.dumps(payload))
+        payload = {"schema_version": SCHEMA_VERSION, "check": check, "params": params}
+        print(json.dumps({**payload, **body, "holds": holds, "status": status}))
     else:
         for line in lines:
             print(line)
+        print(f"status: {status}")
+    return 0 if holds else 1
 
 
 def _pick_points(args: argparse.Namespace, params: dict) -> list[Fraction]:
     """Single --x point, or --trials seeded random rationals with the seed echoed."""
     if args.x is not None:
-        params["x"] = format_rational(args.x)
         return [args.x]
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
@@ -111,7 +122,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     if args.symbolic:
         poly = symbolic_difference_poly(args.n)
         symbolic = (poly, poly == poly_const(factorial(args.n)))
-    return _report_sum(args, "identity", f"identity n={args.n}", params, results, symbolic)
+    return _report_sum(args, "identity", params, results, symbolic)
 
 
 def _cmd_lower_power(args: argparse.Namespace) -> int:
@@ -124,51 +135,40 @@ def _cmd_lower_power(args: argparse.Namespace) -> int:
     if args.symbolic:
         poly = symbolic_lower_power_poly(args.n, args.j)
         symbolic = (poly, poly == ())
-    header = f"lower-power n={args.n} j={args.j}"
-    return _report_sum(args, "lower-power", header, params, results, symbolic)
+    return _report_sum(args, "lower-power", params, results, symbolic)
 
 
 def _report_sum(
     args: argparse.Namespace,
     check: str,
-    header: str,
     params: dict,
     results: list[VerificationResult],
     symbolic: tuple[Poly, bool] | None,
 ) -> int:
-    """Print one identity-style report; each value is formatted once."""
-    holds = all(r.holds for r in results)
+    """Report identity-style rows; the text header names every param except x."""
+    header = " ".join([check] + [f"{k}={v}" for k, v in params.items()])
     rows = [
         (format_rational(r.x), format_rational(r.lhs), format_rational(r.rhs), r.holds)
         for r in results
     ]
+    if args.x is not None:  # after the header, which shows x on its row only
+        params["x"] = rows[0][0]
+    body: dict = {
+        "results": [{"x": x, "lhs": lhs, "rhs": rhs, "holds": ok} for x, lhs, rhs, ok in rows]
+    }
+    if len(rows) == 1:
+        body["lhs"] = rows[0][1]
+    body["rhs"] = rows[0][2]
+    lines = [header]
+    lines += [f"x={x}: lhs={lhs} rhs={rhs} holds={_b(ok)}" for x, lhs, rhs, ok in rows]
+    holds = all(r.holds for r in results)
     if symbolic is not None:
         coefficients, sym_holds = format_poly(symbolic[0]), symbolic[1]
+        body["symbolic"] = {"coefficients": coefficients, "holds": sym_holds}
+        joined = ", ".join(coefficients)
+        lines.append(f"symbolic: coefficients=[{joined}] holds={_b(sym_holds)}")
         holds = holds and sym_holds
-
-    if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, "check": check, "params": params}
-        payload["results"] = [
-            {"x": x, "lhs": lhs, "rhs": rhs, "holds": ok} for x, lhs, rhs, ok in rows
-        ]
-        if len(rows) == 1:
-            payload["lhs"] = rows[0][1]
-        payload["rhs"] = rows[0][2]
-        if symbolic is not None:
-            payload["symbolic"] = {"coefficients": coefficients, "holds": sym_holds}
-        payload["holds"] = holds
-        payload["status"] = _status(holds)
-        print(json.dumps(payload))
-    else:
-        if "seed" in params:
-            header += f" trials={params['trials']} seed={params['seed']}"
-        print(header)
-        for x, lhs, rhs, ok in rows:
-            print(f"x={x}: lhs={lhs} rhs={rhs} holds={_b(ok)}")
-        if symbolic is not None:
-            print(f"symbolic: coefficients=[{', '.join(coefficients)}] holds={_b(sym_holds)}")
-        print(f"status: {_status(holds)}")
-    return 0 if holds else 1
+    return _report(args, check, params, body, lines, holds)
 
 
 def _check_wilson_bound(n: int, bound: int) -> None:
@@ -182,30 +182,23 @@ def _check_wilson_bound(n: int, bound: int) -> None:
         )
 
 
+def _verdict(v: PrimalityVerdict) -> tuple[dict, str]:
+    """JSON fields and text line of one verdict, each value formatted once."""
+    n, residue = str(v.n), str(v.wilson_residue)
+    is_prime, agrees = v.is_prime, v.oracle_agrees
+    fields = {"n": n, "residue": residue, "is_prime": is_prime, "oracle_agrees": agrees}
+    line = f"n={n}: residue={residue} is_prime={_b(is_prime)} oracle_agrees={_b(agrees)}"
+    return fields, line
+
+
 def _cmd_wilson(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError(f"n must be at least 2, got {args.n}")
     _check_wilson_bound(args.n, args.max_wilson)
     v = wilson_test(args.n)
-    holds = v.oracle_agrees
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "check": "wilson",
-        "params": {"n": str(args.n)},
-        "n": str(v.n),
-        "residue": str(v.wilson_residue),
-        "is_prime": v.is_prime,
-        "oracle_agrees": v.oracle_agrees,
-        "holds": holds,
-        "status": _status(holds),
-    }
-    lines = [
-        f"wilson n={v.n}: residue={v.wilson_residue}"
-        f" is_prime={_b(v.is_prime)} oracle_agrees={_b(v.oracle_agrees)}",
-        f"status: {_status(holds)}",
-    ]
-    _emit(args, payload, lines)
-    return 0 if holds else 1
+    fields, line = _verdict(v)
+    params = {"n": fields["n"]}
+    return _report(args, "wilson", params, fields, [f"wilson {line}"], v.oracle_agrees)
 
 
 def _cmd_wilson_range(args: argparse.Namespace) -> int:
@@ -220,30 +213,15 @@ def _cmd_wilson_range(args: argparse.Namespace) -> int:
     for v in wilson_sweep(lo, hi):
         primes += v.is_prime
         all_agree = all_agree and v.oracle_agrees
+        fields, line = _verdict(v)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "check": "wilson",
-                        "n": str(v.n),
-                        "residue": str(v.wilson_residue),
-                        "is_prime": v.is_prime,
-                        "oracle_agrees": v.oracle_agrees,
-                    }
-                )
-            )
+            print(json.dumps({"schema_version": SCHEMA_VERSION, "check": "wilson", **fields}))
         else:
-            print(
-                f"n={v.n}: residue={v.wilson_residue}"
-                f" is_prime={_b(v.is_prime)} oracle_agrees={_b(v.oracle_agrees)}"
-            )
+            print(line)
     if not args.json:
-        print(
-            f"primes={primes} composites={hi - lo + 1 - primes}"
-            f" oracle_agrees={'all' if all_agree else 'MISMATCH'}"
-        )
-        print(f"status: {_status(all_agree)}")
+        agree = "all" if all_agree else "MISMATCH"
+        print(f"primes={primes} composites={hi - lo + 1 - primes} oracle_agrees={agree}")
+        print(f"status: {'holds' if all_agree else 'violated'}")
     return 0 if all_agree else 1
 
 
@@ -256,41 +234,27 @@ _CONGRUENCE_KINDS = {
 
 
 def _cmd_congruence(args: argparse.Namespace) -> int:
-    p = args.p
-    if p < 2:
-        raise UsageError(f"p must be at least 2, got {p}")
+    if args.p < 2:
+        raise UsageError(f"p must be at least 2, got {args.p}")
     try:
-        report = _CONGRUENCE_KINDS[args.kind](p)
+        report = _CONGRUENCE_KINDS[args.kind](args.p)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    holds = report.holds
-
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "check": f"congruence-{args.kind}",
-        "params": {"kind": args.kind, "p": str(p)},
-        "modulus": str(report.modulus),
-    }
-    lines = [f"congruence {args.kind} p={p} modulus={report.modulus}"]
-
+    p, modulus = str(args.p), str(report.modulus)
+    body: dict = {"modulus": modulus}
+    lines = [f"congruence {args.kind} p={p} modulus={modulus}"]
     if report.exact_lhs is not None:
         lhs, expected = str(report.exact_lhs), str(report.exact_expected)
         equal = report.exact_lhs == report.exact_expected
-        payload.update(exact_lhs=lhs, exact_expected=expected, exact_equal=equal)
+        body.update(exact_lhs=lhs, exact_expected=expected, exact_equal=equal)
         lines.append(f"exact: lhs={lhs} expected={expected} equal={_b(equal)}")
-
-    payload["entries"] = [
-        {"index": str(e.index), "residue": str(e.residue), "expected": str(e.expected)}
-        for e in report.entries
-    ]
-    payload["holds"] = holds
-    payload["status"] = _status(holds)
-    lines += [
-        f"i={e.index}: residue={e.residue} expected={e.expected}" for e in report.entries
-    ]
-    lines.append(f"status: {_status(holds)}")
-    _emit(args, payload, lines)
-    return 0 if holds else 1
+    body["entries"] = []
+    for e in report.entries:
+        i, residue, expected = str(e.index), str(e.residue), str(e.expected)
+        body["entries"].append({"index": i, "residue": residue, "expected": expected})
+        lines.append(f"i={i}: residue={residue} expected={expected}")
+    params = {"kind": args.kind, "p": p}
+    return _report(args, f"congruence-{args.kind}", params, body, lines, report.holds)
 
 
 def _cmd_difftable(args: argparse.Namespace) -> int:
@@ -304,25 +268,15 @@ def _cmd_difftable(args: argparse.Namespace) -> int:
     cols = difference_table(degree, points)
     expected = factorial(degree)
     holds = all(v == expected for v in cols[degree])
-
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "check": "difftable",
-        "params": {"degree": str(degree), "points": str(points)},
-        "columns": [[str(v) for v in col] for col in cols],
-        "constant_column": str(degree),
-        "constant_value": str(expected),
-        "holds": holds,
-        "status": _status(holds),
-    }
-    lines = [f"difftable degree={degree} points={points}"]
+    columns = [[str(v) for v in col] for col in cols]
+    d, pts, constant = str(degree), str(points), str(expected)
+    body = {"columns": columns, "constant_column": d, "constant_value": constant}
+    lines = [f"difftable degree={d} points={pts}"]
     for x in range(points):
-        row = " ".join(str(cols[m][x - m]) for m in range(min(x, degree) + 1))
+        row = " ".join(columns[m][x - m] for m in range(min(x, degree) + 1))
         lines.append(f"x={x}: {row}")
-    lines.append(f"column {degree}: expected={expected} holds={_b(holds)}")
-    lines.append(f"status: {_status(holds)}")
-    _emit(args, payload, lines)
-    return 0 if holds else 1
+    lines.append(f"column {d}: expected={constant} holds={_b(holds)}")
+    return _report(args, "difftable", {"degree": d, "points": pts}, body, lines, holds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,80 +285,71 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks of alternating difference-sum identities"
         " and the Wilson congruence chain.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="U64",
-        help="seed for randomized evaluation points (reproduces a run exactly)",
-    )
-    common.add_argument(
-        "--trials",
-        type=int,
-        default=DEFAULT_TRIALS,
-        metavar="K",
-        help=f"randomized points when --x is omitted (default {DEFAULT_TRIALS})",
-    )
-    common.add_argument(
-        "--max-wilson",
-        type=int,
-        default=DEFAULT_MAX_WILSON,
-        metavar="BOUND",
-        dest="max_wilson",
-        help=f"refuse wilson checks above this n (default {DEFAULT_MAX_WILSON})",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "identity",
-        parents=[common],
-        help="alternating difference sum against the factorial constant",
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+        p.set_defaults(handler=handler)
+        return p
+
+    def add_points(p):
+        p.add_argument(
+            "--x",
+            type=rational,
+            help="exact evaluation point, integer or num/den; omitted: seeded random points",
+        )
+        p.add_argument(
+            "--trials",
+            type=int,
+            default=DEFAULT_TRIALS,
+            metavar="K",
+            help=f"randomized points when --x is omitted (default {DEFAULT_TRIALS})",
+        )
+        p.add_argument(
+            "--seed",
+            type=int,
+            metavar="U64",
+            help="seed for randomized evaluation points (reproduces a run exactly)",
+        )
+        p.add_argument(
+            "--symbolic", action="store_true", help="also check the symbolic collapse"
+        )
+
+    def add_max_wilson(p):
+        p.add_argument(
+            "--max-wilson",
+            type=int,
+            default=DEFAULT_MAX_WILSON,
+            metavar="BOUND",
+            help=f"refuse wilson checks above this n (default {DEFAULT_MAX_WILSON})",
+        )
+
+    p = command(
+        "identity", _cmd_identity, "alternating difference sum against the factorial constant"
     )
     p.add_argument("--n", type=int, required=True, help="sum order (non-negative)")
-    p.add_argument(
-        "--x",
-        type=rational,
-        default=None,
-        help="exact evaluation point, integer or num/den; omitted -> seeded random points",
-    )
-    p.add_argument(
-        "--symbolic", action="store_true", help="also check the symbolic collapse"
-    )
-    p.set_defaults(handler=_cmd_identity)
+    add_points(p)
 
-    p = sub.add_parser(
-        "lower-power",
-        parents=[common],
-        help="lowered-exponent alternating sum against zero",
+    p = command(
+        "lower-power", _cmd_lower_power, "lowered-exponent alternating sum against zero"
     )
     p.add_argument("--n", type=int, required=True, help="sum order (positive)")
     p.add_argument("--j", type=int, required=True, help="exponent drop, 1 <= j <= n")
-    p.add_argument("--x", type=rational, default=None, help="exact evaluation point")
-    p.add_argument(
-        "--symbolic", action="store_true", help="also check the symbolic collapse"
-    )
-    p.set_defaults(handler=_cmd_lower_power)
+    add_points(p)
 
-    p = sub.add_parser(
-        "wilson", parents=[common], help="factorial-residue primality verdict for one n"
-    )
+    p = command("wilson", _cmd_wilson, "factorial-residue primality verdict for one n")
     p.add_argument("n", type=int, help="integer to test, n >= 2")
-    p.set_defaults(handler=_cmd_wilson)
+    add_max_wilson(p)
 
-    p = sub.add_parser(
-        "wilson-range",
-        parents=[common],
-        help="stream factorial-residue verdicts for lo..hi inclusive",
+    p = command(
+        "wilson-range", _cmd_wilson_range, "stream factorial-residue verdicts for lo..hi"
     )
     p.add_argument("lo", type=int, help="first n (>= 2)")
     p.add_argument("hi", type=int, help="last n (inclusive)")
-    p.set_defaults(handler=_cmd_wilson_range)
+    add_max_wilson(p)
 
-    p = sub.add_parser(
-        "congruence", parents=[common], help="per-index congruence report mod a prime"
-    )
+    p = command("congruence", _cmd_congruence, "per-index congruence report mod a prime")
     p.add_argument(
         "kind",
         choices=sorted(_CONGRUENCE_KINDS),
@@ -412,18 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
         " power-sum: power sum vs factorial; eq1: the identity at x=0 reduced mod p",
     )
     p.add_argument("p", type=int, help="prime modulus (odd for power-sum and eq1)")
-    p.set_defaults(handler=_cmd_congruence)
 
-    p = sub.add_parser(
-        "difftable",
-        parents=[common],
-        help="difference table of x**degree with its constant column",
+    p = command(
+        "difftable", _cmd_difftable, "difference table of x**degree with its constant column"
     )
     p.add_argument("--degree", type=int, required=True, help="monomial degree")
-    p.add_argument(
-        "--points", type=int, required=True, help="sample count, at least degree+1"
-    )
-    p.set_defaults(handler=_cmd_difftable)
+    p.add_argument("--points", type=int, required=True, help="sample count >= degree+1")
 
     return parser
 
@@ -465,7 +404,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         # final flush of what is still buffered cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

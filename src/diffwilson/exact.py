@@ -8,10 +8,12 @@ ascending power order with no trailing zero entries; the zero polynomial
 is the empty tuple.  Every operation returns canonical values, so ``==``
 on any two results is exact mathematical equality.
 
-``poly_shift`` and ``poly_axpy`` work over whatever coefficient ring they
-are given and coerce nothing: int coefficients with an int shift or scale
-give int coefficients (int in, int out), and any Fraction among the inputs
-makes the affected outputs Fraction.  Integer work thus skips Fraction's
+The constructors build int coefficients: ``monomial`` and ``POLY_ONE`` are
+int, and ``poly_const`` keeps the type of its argument.  ``poly_shift``
+and ``poly_axpy`` work over whatever coefficient ring they are given and
+coerce nothing: int coefficients with an int shift or scale give int
+coefficients (int in, int out), and any Fraction among the inputs makes
+the affected outputs Fraction.  Integer work thus skips Fraction's
 per-operation gcd normalisation; the public identity results convert to
 Fraction once, where they are returned.
 
@@ -45,13 +47,10 @@ __all__ = [
     "poly_shift",
 ]
 
-Poly = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Poly = tuple[Fraction | int, ...]
 
 POLY_ZERO: Poly = ()
-POLY_ONE: Poly = (_ONE,)
+POLY_ONE: Poly = (1,)
 
 
 def factorial(n: int) -> int:
@@ -142,16 +141,15 @@ def _canonical(coeffs: list) -> Poly:
 
 
 def poly_const(c: Fraction | int) -> Poly:
-    """The constant polynomial c."""
-    c = Fraction(c)
+    """The constant polynomial c, in the ring of c."""
     return (c,) if c else POLY_ZERO
 
 
 def monomial(n: int) -> Poly:
-    """X**n."""
+    """X**n, with int coefficients."""
     if n < 0:
         raise ValueError(f"monomial needs n >= 0, got {n}")
-    return (_ZERO,) * n + (_ONE,)
+    return (0,) * n + (1,)
 
 
 def poly_is_zero(p: Poly) -> bool:

@@ -35,6 +35,7 @@ from .exact import (
     binomial_row,
     factorial,
     falling_factorial,
+    monomial,
     poly_axpy,
     poly_derivative,
     poly_is_zero,
@@ -110,7 +111,7 @@ def eval_lower_power_sum(n: int, j: int, x: Fraction | int) -> Fraction:
 def _alternating_expansion(n: int, exponent: int) -> Poly:
     # sum_i (-1)^i C(n,i) (X - i)^exponent with each power expanded via poly_shift.
     acc = POLY_ZERO
-    base = (0,) * exponent + (1,)  # X^exponent over the ints; monomial() is Fraction
+    base = monomial(exponent)
     for i in range(n + 1):
         shifted = poly_shift(base, -i)
         weight = binomial(n, i)

@@ -146,6 +146,41 @@ def test_wilson_range_matches_per_n_rendering(capsys, as_json):
     assert capsys.readouterr().out == _per_n_wilson_range(2, 3000, as_json)
 
 
+def _difftable_rendering(degree, points, as_json):
+    """difftable output built from x**degree and repeated differences."""
+    cols = [[x**degree for x in range(points)]]
+    for _ in range(degree):
+        cols.append([b - a for a, b in zip(cols[-1], cols[-1][1:])])
+    constant = math.factorial(degree)
+    assert cols[degree] == [constant] * (points - degree)
+    if as_json:
+        payload = {
+            "schema_version": "1",
+            "check": "difftable",
+            "params": {"degree": str(degree), "points": str(points)},
+            "columns": [[str(v) for v in col] for col in cols],
+            "constant_column": str(degree),
+            "constant_value": str(constant),
+            "holds": True,
+            "status": "holds",
+        }
+        return json.dumps(payload) + "\n"
+    lines = [f"difftable degree={degree} points={points}"]
+    for x in range(points):
+        diffs = [cols[m][x - m] for m in range(min(x, degree) + 1)]
+        lines.append(f"x={x}: " + " ".join(map(str, diffs)))
+    lines.append(f"column {degree}: expected={constant} holds=true")
+    lines.append("status: holds")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_difftable_matches_repeated_differences(capsys, as_json):
+    argv = ["difftable", "--degree", "7", "--points", "30"] + (["--json"] if as_json else [])
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == _difftable_rendering(7, 30, as_json)
+
+
 def test_congruence_large_prime_holds(capsys):
     for kind in ("binom", "fermat", "power-sum", "eq1"):
         assert cli.main(["congruence", kind, "101", "--json"]) == 0
@@ -294,12 +329,20 @@ def test_congruence_violation_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(cli._CONGRUENCE_KINDS, "binom", lambda p: broken)
     assert cli.main(["congruence", "binom", "5"]) == 1
     assert "status: violated" in capsys.readouterr().out
+    assert cli.main(["congruence", "binom", "5", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["holds"] is False
+    assert payload["status"] == "violated"
 
 
 def test_difftable_violation_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "difference_table", lambda d, p: [[0, 1], [7]])
     assert cli.main(["difftable", "--degree", "1", "--points", "2"]) == 1
     assert "holds=false" in capsys.readouterr().out
+    assert cli.main(["difftable", "--degree", "1", "--points", "2", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["holds"] is False
+    assert payload["status"] == "violated"
 
 
 # exit code 2: usage errors on stderr
@@ -341,6 +384,12 @@ def test_usage_errors_exit_2(capsys, argv, fragment):
         ["congruence", "nope", "5"],
         ["identity"],
         [],
+        # each subcommand refuses the flags it does not read
+        ["wilson", "5", "--seed", "1"],
+        ["wilson-range", "2", "5", "--trials", "3"],
+        ["congruence", "binom", "5", "--max-wilson", "9"],
+        ["difftable", "--degree", "2", "--points", "5", "--x", "1"],
+        ["identity", "--n", "3", "--x", "1", "--max-wilson", "5"],
     ],
 )
 def test_argparse_rejections_exit_2(capsys, argv):

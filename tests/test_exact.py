@@ -169,6 +169,7 @@ def test_poly_construction_canonical():
     assert poly_const(7) == (Fraction(7),)
     assert monomial(0) == POLY_ONE
     assert monomial(3) == (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+    assert all(type(c) is int for c in monomial(3) + poly_const(7))
     with pytest.raises(ValueError):
         monomial(-1)
 
