@@ -14,9 +14,10 @@ one object per n, in ascending order.  --x, --trials, --seed and
 --symbolic belong to identity and lower-power, and --max-wilson to wilson
 and wilson-range; the other subcommands refuse them with exit code 2.
 Numeric parameters are exact integers or num/den rationals;
-floating-point literals are rejected.  Integers serialize as decimal
-strings and rationals as "num/den" strings, so values survive any JSON
-consumer losslessly.
+floating-point literals are rejected.  A negative num/den point takes the
+= form, --x=-3/7, because argparse reads a separate -3/7 as an option.
+Integers serialize as decimal strings and rationals as "num/den" strings,
+so values survive any JSON consumer losslessly.
 
 Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
@@ -297,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--x",
             type=rational,
-            help="exact evaluation point, integer or num/den; omitted: seeded random points",
+            help="exact evaluation point, integer or num/den (a negative num/den needs"
+            " the = form, --x=-3/7); omitted: seeded random points",
         )
         p.add_argument(
             "--trials",

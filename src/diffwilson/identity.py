@@ -25,8 +25,8 @@ The alternating sum is also the n-th backward difference of X^n, which
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (
     POLY_ZERO,
@@ -57,8 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Record of one identity check; holds is true iff lhs == rhs exactly."""
 
     check: str

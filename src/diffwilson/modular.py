@@ -8,13 +8,14 @@ by the Fermat residue, leaving (p-1)! = p-1 (mod p).  Each link in that
 chain is a separately checkable report.
 
 Residues are always normalized to [0, m), so every congruence check is a
-plain equality of canonical representatives.  Trial division serves as the
-independent primality oracle throughout.
+plain equality of canonical representatives, and ``_congruence`` derives
+every report's verdict from its entries.  Results are immutable NamedTuples;
+``mod_pow`` is the built-in ``pow`` behind two refusals.  Trial division
+serves as the independent primality oracle throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, prod
 from typing import Iterator, NamedTuple
 
@@ -44,8 +45,7 @@ class CongruenceEntry(NamedTuple):
     expected: int
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """One modular check; holds iff residue == expected for every entry.
 
     A check that first compares exact integers before reducing them (the
@@ -60,8 +60,7 @@ class CongruenceReport:
     exact_expected: int | None = None
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
+class PrimalityVerdict(NamedTuple):
     """Wilson residue verdict: is_prime iff (n-1)! = n-1 (mod n)."""
 
     n: int
@@ -76,18 +75,11 @@ def _require_modulus(m: int) -> None:
 
 
 def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m in [0, m), by square-and-multiply."""
+    """base**exp mod m in [0, m); a negative exp is refused, not inverted."""
     _require_modulus(m)
     if exp < 0:
         raise ValueError(f"exponent must be non-negative, got {exp}")
-    result = 1
-    base %= m
-    while exp:
-        if exp & 1:
-            result = result * base % m
-        base = base * base % m
-        exp >>= 1
-    return result
+    return pow(base, exp, m)
 
 
 def factorial_mod(n: int, m: int) -> int:
@@ -167,6 +159,12 @@ def _require_odd_prime(p: int) -> None:
     _require_prime(p)
 
 
+def _congruence(check: str, p: int, entries: tuple, **exact: int) -> CongruenceReport:
+    """The report on entries mod p: it holds iff every residue equals its expected value."""
+    holds = all(e.residue == e.expected for e in entries)
+    return CongruenceReport(check, p, entries, holds, **exact)
+
+
 def binomial_row_mod(p: int) -> CongruenceReport:
     """Residues of C(p-1, i) mod p against the alternating pattern (-1)^i.
 
@@ -178,24 +176,14 @@ def binomial_row_mod(p: int) -> CongruenceReport:
         CongruenceEntry(i, b % p, 1 if i % 2 == 0 else p - 1)
         for i, b in enumerate(binomial_row(p - 1))
     )
-    return CongruenceReport(
-        check="binomial-row",
-        modulus=p,
-        entries=entries,
-        holds=all(e.residue == e.expected for e in entries),
-    )
+    return _congruence("binomial-row", p, entries)
 
 
 def fermat_check(p: int) -> CongruenceReport:
     """Residues i**(p-1) mod p for 1 <= i <= p-1; all must be 1."""
     _require_prime(p)
     entries = tuple(CongruenceEntry(i, mod_pow(i, p - 1, p), 1) for i in range(1, p))
-    return CongruenceReport(
-        check="fermat",
-        modulus=p,
-        entries=entries,
-        holds=all(e.residue == e.expected for e in entries),
-    )
+    return _congruence("fermat", p, entries)
 
 
 def power_sum_mod(p: int) -> CongruenceReport:
@@ -207,13 +195,8 @@ def power_sum_mod(p: int) -> CongruenceReport:
     total = 0
     for i in range(p):
         total = (total + mod_pow(i, p - 1, p)) % p
-    entry = CongruenceEntry(p - 1, total, factorial_mod(p - 1, p))
-    return CongruenceReport(
-        check="power-sum",
-        modulus=p,
-        entries=(entry,),
-        holds=entry.residue == entry.expected,
-    )
+    entries = (CongruenceEntry(p - 1, total, factorial_mod(p - 1, p)),)
+    return _congruence("power-sum", p, entries)
 
 
 def alternating_power_sum_at_zero(p: int) -> int:
@@ -245,12 +228,5 @@ def identity_at_zero_mod(p: int) -> CongruenceReport:
     expected = factorial(p - 1)
     if lhs != expected:
         raise ArithmeticError(f"alternating sum at zero for p={p} is not (p-1)!")
-    entry = CongruenceEntry(0, lhs % p, factorial_mod(p - 1, p))
-    return CongruenceReport(
-        check="identity-at-zero",
-        modulus=p,
-        entries=(entry,),
-        holds=entry.residue == entry.expected,
-        exact_lhs=lhs,
-        exact_expected=expected,
-    )
+    entries = (CongruenceEntry(0, lhs % p, factorial_mod(p - 1, p)),)
+    return _congruence("identity-at-zero", p, entries, exact_lhs=lhs, exact_expected=expected)

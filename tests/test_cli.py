@@ -86,6 +86,20 @@ def test_text_and_json_agree_on_points(capsys):
     assert xs_text == ["x=" + r["x"] for r in payload["results"]]
 
 
+@pytest.mark.parametrize(
+    "argv,row",
+    [
+        (["identity", "--n", "3"], "x=-3/7: lhs=6/1 rhs=6/1 holds=true"),
+        (["lower-power", "--n", "3", "--j", "1"], "x=-3/7: lhs=0/1 rhs=0/1 holds=true"),
+    ],
+    ids=["identity", "lower-power"],
+)
+def test_negative_rational_point_in_equals_form(capsys, argv, row):
+    # A separate "-3/7" reads as an option to argparse; "--x=-3/7" is the documented form.
+    assert cli.main(argv + ["--x=-3/7"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == row
+
+
 def test_unseeded_run_reports_reproducing_seed(capsys):
     assert cli.main(["identity", "--n", "2", "--trials", "2"]) == 0
     out = capsys.readouterr().out

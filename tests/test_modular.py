@@ -321,3 +321,42 @@ def test_residues_normalized_across_reports():
         ):
             assert all(0 <= e.residue < p for e in report.entries)
             assert all(0 <= e.expected < p for e in report.entries)
+
+
+def _row_4_lies_at_2(real):
+    # the true row of C(4, i) is (1, 4, 6, 4, 1)
+    return lambda n: (1, 4, 7, 4, 1)
+
+
+def _lie_at_base_3(real):
+    return lambda b, e, m: (real(b, e, m) + 2) % m if b == 3 else real(b, e, m)
+
+
+def _one_past_factorial_mod(real):
+    return lambda n, m: (real(n, m) + 1) % m
+
+
+@pytest.mark.parametrize(
+    "report_of,primitive,lie,p,index,entry",
+    [
+        (binomial_row_mod, "binomial_row", _row_4_lies_at_2, 5, 2, (2, 2, 1)),
+        (fermat_check, "mod_pow", _lie_at_base_3, 7, 2, (3, 3, 1)),
+        (power_sum_mod, "mod_pow", _lie_at_base_3, 7, 0, (6, 1, 6)),
+        (identity_at_zero_mod, "factorial_mod", _one_past_factorial_mod, 7, 0, (0, 6, 0)),
+    ],
+    ids=["binom", "fermat", "power-sum", "eq1"],
+)
+def test_congruence_verdict_follows_its_entries(
+    monkeypatch, report_of, primitive, lie, p, index, entry
+):
+    # A lying primitive must surface as a wrong entry and a false verdict.
+    honest = report_of(p)
+    monkeypatch.setattr(modular, primitive, lie(getattr(modular, primitive)))
+    report = report_of(p)
+    assert honest.holds is True
+    assert report.holds is False
+    assert report.entries[index] == entry != honest.entries[index]
+    rest = slice(index + 1, None)
+    assert report.entries[:index] + report.entries[rest] == (
+        honest.entries[:index] + honest.entries[rest]
+    )
