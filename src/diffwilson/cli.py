@@ -11,8 +11,9 @@ Usage:
 
 Every subcommand accepts --json; range sweeps stream line-delimited JSON,
 one object per n, in ascending order.  --x, --trials, --seed and
---symbolic belong to identity and lower-power, and --max-wilson to wilson
-and wilson-range; the other subcommands refuse them with exit code 2.
+--symbolic belong to identity and lower-power (--trials and --seed only
+when --x is omitted), and --max-wilson to wilson and wilson-range; any
+other use of them exits 2.
 Numeric parameters are exact integers or num/den rationals;
 floating-point literals are rejected.  A negative num/den point takes the
 = form, --x=-3/7, because argparse reads a separate -3/7 as an option.
@@ -21,10 +22,11 @@ so values survive any JSON consumer losslessly.
 
 Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
-2 usage error; 141 (128 + SIGPIPE) the reader closed stdout before the
-output ended, e.g. ``diffwilson wilson-range 2 200000 | head -2``.  (A
-"status": "error" payload value is reserved; usage errors are reported
-on stderr instead.)
+2 usage error, from argparse or any DomainError (every library and flag
+refusal); 141 (128 + SIGPIPE) the reader closed stdout before the output
+ended, e.g. ``diffwilson wilson-range 2 200000 | head -2``.  (A "status":
+"error" payload value is reserved; usage errors are reported on stderr
+instead.)
 """
 
 from __future__ import annotations
@@ -38,7 +40,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import Poly, factorial, format_poly, format_rational, parse_rational, poly_const
+from .exact import (
+    DomainError,
+    Poly,
+    factorial,
+    format_poly,
+    format_rational,
+    parse_rational,
+    poly_const,
+)
 from .identity import (
     VerificationResult,
     difference_table,
@@ -64,10 +74,6 @@ DEFAULT_MAX_WILSON = 10**7
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that hung up
 
 
-class UsageError(Exception):
-    """Bad request parameters; reported on stderr with exit code 2."""
-
-
 def rational(text: str) -> Fraction:
     """argparse converter for exact 'num/den' or integer literals."""
     return parse_rational(text)
@@ -91,52 +97,43 @@ def _report(
         payload = {"schema_version": SCHEMA_VERSION, "check": check, "params": params}
         print(json.dumps({**payload, **body, "holds": holds, "status": status}))
     else:
-        for line in lines:
-            print(line)
-        print(f"status: {status}")
+        print(*lines, f"status: {status}", sep="\n")
     return 0 if holds else 1
 
 
 def _pick_points(args: argparse.Namespace, params: dict) -> list[Fraction]:
     """Single --x point, or --trials seeded random rationals with the seed echoed."""
     if args.x is not None:
+        if args.trials is not None or args.seed is not None:
+            raise DomainError("--trials and --seed apply only when --x is omitted")
         return [args.x]
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    if trials < 1:
+        raise DomainError(f"--trials must be at least 1, got {trials}")
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2**64)
     elif not 0 <= seed < 2**64:
-        raise UsageError("--seed must fit in an unsigned 64-bit integer")
-    params["trials"] = str(args.trials)
+        raise DomainError("--seed must fit in an unsigned 64-bit integer")
+    params["trials"] = str(trials)
     params["seed"] = str(seed)
-    return sample_rationals(random.Random(seed), args.trials)
+    return sample_rationals(random.Random(seed), trials)
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise UsageError(f"--n must be non-negative, got {args.n}")
     params = {"n": str(args.n)}
     points = _pick_points(args, params)
     results = [verify_difference_sum(args.n, x) for x in points]
-    symbolic = None
-    if args.symbolic:
-        poly = symbolic_difference_poly(args.n)
-        symbolic = (poly, poly == poly_const(factorial(args.n)))
-    return _report_sum(args, "identity", params, results, symbolic)
+    poly = symbolic_difference_poly(args.n) if args.symbolic else None
+    return _report_sum(args, "identity", params, results, poly)
 
 
 def _cmd_lower_power(args: argparse.Namespace) -> int:
-    if args.n < 1 or not 1 <= args.j <= args.n:
-        raise UsageError(f"need 1 <= j <= n, got j={args.j} with n={args.n}")
     params = {"n": str(args.n), "j": str(args.j)}
     points = _pick_points(args, params)
     results = [verify_lower_power_sum(args.n, args.j, x) for x in points]
-    symbolic = None
-    if args.symbolic:
-        poly = symbolic_lower_power_poly(args.n, args.j)
-        symbolic = (poly, poly == ())
-    return _report_sum(args, "lower-power", params, results, symbolic)
+    poly = symbolic_lower_power_poly(args.n, args.j) if args.symbolic else None
+    return _report_sum(args, "lower-power", params, results, poly)
 
 
 def _report_sum(
@@ -144,7 +141,7 @@ def _report_sum(
     check: str,
     params: dict,
     results: list[VerificationResult],
-    symbolic: tuple[Poly, bool] | None,
+    poly: Poly | None,
 ) -> int:
     """Report identity-style rows; the text header names every param except x."""
     header = " ".join([check] + [f"{k}={v}" for k, v in params.items()])
@@ -163,8 +160,9 @@ def _report_sum(
     lines = [header]
     lines += [f"x={x}: lhs={lhs} rhs={rhs} holds={_b(ok)}" for x, lhs, rhs, ok in rows]
     holds = all(r.holds for r in results)
-    if symbolic is not None:
-        coefficients, sym_holds = format_poly(symbolic[0]), symbolic[1]
+    if poly is not None:
+        coefficients = format_poly(poly)
+        sym_holds = poly == poly_const(results[0].rhs)  # must collapse to the rhs
         body["symbolic"] = {"coefficients": coefficients, "holds": sym_holds}
         joined = ", ".join(coefficients)
         lines.append(f"symbolic: coefficients=[{joined}] holds={_b(sym_holds)}")
@@ -174,7 +172,7 @@ def _report_sum(
 
 def _check_wilson_bound(n: int, bound: int) -> None:
     if n > bound:
-        raise UsageError(
+        raise DomainError(
             f"n={n} exceeds --max-wilson={bound}: wilson n costs n-2 modular"
             " multiplications, and wilson-range lo hi one multiplication and one"
             " reduction per n on an integer of about log2(hi!) bits (about 15 KB"
@@ -193,8 +191,6 @@ def _verdict(v: PrimalityVerdict) -> tuple[dict, str]:
 
 
 def _cmd_wilson(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise UsageError(f"n must be at least 2, got {args.n}")
     _check_wilson_bound(args.n, args.max_wilson)
     v = wilson_test(args.n)
     fields, line = _verdict(v)
@@ -204,10 +200,8 @@ def _cmd_wilson(args: argparse.Namespace) -> int:
 
 def _cmd_wilson_range(args: argparse.Namespace) -> int:
     lo, hi = args.lo, args.hi
-    if lo < 2:
-        raise UsageError(f"range must start at 2 or above, got {lo}")
     if hi < lo:
-        raise UsageError(f"empty range: {lo}..{hi}")
+        raise DomainError(f"empty range: {lo}..{hi}")
     _check_wilson_bound(hi, args.max_wilson)
     primes = 0
     all_agree = True
@@ -235,12 +229,7 @@ _CONGRUENCE_KINDS = {
 
 
 def _cmd_congruence(args: argparse.Namespace) -> int:
-    if args.p < 2:
-        raise UsageError(f"p must be at least 2, got {args.p}")
-    try:
-        report = _CONGRUENCE_KINDS[args.kind](args.p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = _CONGRUENCE_KINDS[args.kind](args.p)
     p, modulus = str(args.p), str(report.modulus)
     body: dict = {"modulus": modulus}
     lines = [f"congruence {args.kind} p={p} modulus={modulus}"]
@@ -260,12 +249,6 @@ def _cmd_congruence(args: argparse.Namespace) -> int:
 
 def _cmd_difftable(args: argparse.Namespace) -> int:
     degree, points = args.degree, args.points
-    if degree < 0:
-        raise UsageError(f"--degree must be non-negative, got {degree}")
-    if points <= degree:
-        raise UsageError(
-            f"--points must be at least degree+1, got points={points} for degree={degree}"
-        )
     cols = difference_table(degree, points)
     expected = factorial(degree)
     holds = all(v == expected for v in cols[degree])
@@ -304,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trials",
             type=int,
-            default=DEFAULT_TRIALS,
             metavar="K",
             help=f"randomized points when --x is omitted (default {DEFAULT_TRIALS})",
         )
@@ -398,7 +380,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = args.handler(args)
         sys.stdout.flush()
         return code
-    except UsageError as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -8,18 +8,20 @@ ascending power order with no trailing zero entries; the zero polynomial
 is the empty tuple.  Every operation returns canonical values, so ``==``
 on any two results is exact mathematical equality.
 
-The constructors build int coefficients: ``monomial`` and ``POLY_ONE`` are
-int, and ``poly_const`` keeps the type of its argument.  ``poly_shift``
-and ``poly_axpy`` work over whatever coefficient ring they are given and
-coerce nothing: int coefficients with an int shift or scale give int
-coefficients (int in, int out), and any Fraction among the inputs makes
-the affected outputs Fraction.  Integer work thus skips Fraction's
-per-operation gcd normalisation; the public identity results convert to
-Fraction once, where they are returned.
+``monomial`` builds int coefficients, and ``poly_const`` keeps the type
+of its argument.  ``poly_shift`` and ``poly_axpy`` work over whatever
+coefficient ring they are given and coerce nothing: int coefficients with
+an int shift or scale give int coefficients (int in, int out), and any
+Fraction among the inputs makes the affected outputs Fraction.  Integer
+work thus skips Fraction's per-operation gcd normalisation; the public
+identity results convert to Fraction once, where they are returned.
 
 Serialization contract (consumed by the CLI): integers as decimal strings,
 rationals as ``"num/den"`` strings, polynomials as ascending coefficient
 arrays of rational strings.
+
+Every refusal in the package, here and in ``identity`` and ``modular``,
+raises ``DomainError``, a ``ValueError`` the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -28,48 +30,37 @@ import re
 from fractions import Fraction
 
 __all__ = [
+    "DomainError",
     "Poly",
-    "POLY_ONE",
     "POLY_ZERO",
     "binomial",
     "binomial_row",
     "factorial",
-    "falling_factorial",
     "format_poly",
     "format_rational",
     "monomial",
     "parse_rational",
     "poly_axpy",
     "poly_const",
-    "poly_degree",
-    "poly_derivative",
-    "poly_is_zero",
     "poly_shift",
 ]
 
 Poly = tuple[Fraction | int, ...]
 
 POLY_ZERO: Poly = ()
-POLY_ONE: Poly = (1,)
+
+
+class DomainError(ValueError):
+    """An argument outside the domain of the function that refused it."""
 
 
 def factorial(n: int) -> int:
     """n! = 1*2*...*n by iterated product; factorial(0) == 1."""
     if n < 0:
-        raise ValueError(f"factorial is undefined for negative n, got {n}")
+        raise DomainError(f"factorial is undefined for negative n, got {n}")
     out = 1
     for k in range(2, n + 1):
         out *= k
-    return out
-
-
-def falling_factorial(n: int, j: int) -> int:
-    """n*(n-1)*...*(n-j+1), the product of j descending factors from n."""
-    if j < 0:
-        raise ValueError(f"falling factorial needs j >= 0, got {j}")
-    out = 1
-    for k in range(j):
-        out *= n - k
     return out
 
 
@@ -80,7 +71,7 @@ def binomial(n: int, i: int) -> int:
     freely.
     """
     if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got {n}")
+        raise DomainError(f"binomial needs n >= 0, got {n}")
     if i < 0 or i > n:
         return 0
     i = min(i, n - i)
@@ -97,7 +88,7 @@ def binomial_row(n: int) -> list[int]:
     Same multiplicative recurrence as binomial(); one pass instead of n calls.
     """
     if n < 0:
-        raise ValueError(f"binomial row needs n >= 0, got {n}")
+        raise DomainError(f"binomial row needs n >= 0, got {n}")
     row = [1]
     for i in range(1, n + 1):
         row.append(row[-1] * (n - i + 1) // i)
@@ -114,11 +105,11 @@ def parse_rational(text: str) -> Fraction:
     """
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
-        raise ValueError(f"not an integer or num/den rational: {text!r}")
+        raise DomainError(f"not an integer or num/den rational: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
-        raise ValueError("rational denominator must be nonzero")
+        raise DomainError("rational denominator must be nonzero")
     return Fraction(num, den)
 
 
@@ -148,20 +139,8 @@ def poly_const(c: Fraction | int) -> Poly:
 def monomial(n: int) -> Poly:
     """X**n, with int coefficients."""
     if n < 0:
-        raise ValueError(f"monomial needs n >= 0, got {n}")
+        raise DomainError(f"monomial needs n >= 0, got {n}")
     return (0,) * n + (1,)
-
-
-def poly_is_zero(p: Poly) -> bool:
-    """True for the zero polynomial (whose degree is undefined)."""
-    return not p
-
-
-def poly_degree(p: Poly) -> int:
-    """Degree of a nonzero polynomial; the zero polynomial has no degree."""
-    if not p:
-        raise ValueError("the zero polynomial has no degree")
-    return len(p) - 1
 
 
 def poly_axpy(a: Fraction | int, p: Poly, q: Poly) -> Poly:
@@ -192,8 +171,3 @@ def poly_shift(p: Poly, c: Fraction | int) -> Poly:
             out[j] += a * row[j] * ck
             ck *= c
     return _canonical(out)
-
-
-def poly_derivative(p: Poly) -> Poly:
-    """Formal derivative; constants map to the zero polynomial."""
-    return _canonical([k * c for k, c in enumerate(p)][1:])

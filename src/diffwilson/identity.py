@@ -30,22 +30,19 @@ from typing import NamedTuple
 
 from .exact import (
     POLY_ZERO,
+    DomainError,
     Poly,
     binomial,
     binomial_row,
     factorial,
-    falling_factorial,
     monomial,
     poly_axpy,
-    poly_derivative,
-    poly_is_zero,
     poly_shift,
 )
 
 __all__ = [
     "VerificationResult",
     "backward_difference",
-    "derivative_collapse_check",
     "difference_table",
     "eval_difference_sum",
     "eval_lower_power_sum",
@@ -71,13 +68,13 @@ class VerificationResult(NamedTuple):
 
 def _require_n(n: int) -> None:
     if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+        raise DomainError(f"n must be non-negative, got {n}")
 
 
 def _require_j(n: int, j: int) -> None:
     # n = 0 admits no valid j, so it is rejected here as well.
     if not 1 <= j <= n:
-        raise ValueError(f"j must satisfy 1 <= j <= n, got j={j} with n={n}")
+        raise DomainError(f"j must satisfy 1 <= j <= n, got j={j} with n={n}")
 
 
 def _alternating_sum_at(n: int, exponent: int, x: Fraction | int) -> Fraction:
@@ -140,7 +137,7 @@ def backward_difference(p: Poly, order: int) -> Poly:
     Runs in the ring of p's coefficients; the result has Fraction coefficients.
     """
     if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+        raise DomainError(f"order must be non-negative, got {order}")
     for _ in range(order):
         p = poly_axpy(-1, poly_shift(p, -1), p)
     return tuple(Fraction(c) for c in p)
@@ -166,22 +163,6 @@ def verify_lower_power_sum(n: int, j: int, x: Fraction | int) -> VerificationRes
     )
 
 
-def derivative_collapse_check(n: int, j: int) -> bool:
-    """Cross-check the j-fold derivative route against the lower-power route.
-
-    Differentiating the expanded alternating sum j times must give the zero
-    polynomial, and must equal n(n-1)...(n-j+1) times the expanded
-    lower-power sum.  Both sides are computed independently and compared
-    exactly.
-    """
-    _require_j(n, j)
-    lhs = symbolic_difference_poly(n)
-    for _ in range(j):
-        lhs = poly_derivative(lhs)
-    rhs = poly_axpy(falling_factorial(n, j), symbolic_lower_power_poly(n, j), POLY_ZERO)
-    return poly_is_zero(lhs) and lhs == rhs
-
-
 def difference_table(degree: int, points: int) -> list[list[int]]:
     """Columns of the difference table of x**degree sampled at x = 0..points-1.
 
@@ -190,9 +171,9 @@ def difference_table(degree: int, points: int) -> list[list[int]]:
     `degree` is constant factorial(degree).
     """
     if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
+        raise DomainError(f"degree must be non-negative, got {degree}")
     if points <= degree:
-        raise ValueError(
+        raise DomainError(
             f"need at least degree+1 sample points, got points={points} for degree={degree}"
         )
     col = [x**degree for x in range(points)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import isqrt, prod
 from typing import Iterator, NamedTuple
 
-from .exact import binomial_row, factorial
+from .exact import DomainError, binomial_row, factorial
 
 __all__ = [
     "CongruenceEntry",
@@ -71,14 +71,14 @@ class PrimalityVerdict(NamedTuple):
 
 def _require_modulus(m: int) -> None:
     if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
+        raise DomainError(f"modulus must be at least 2, got {m}")
 
 
 def mod_pow(base: int, exp: int, m: int) -> int:
     """base**exp mod m in [0, m); a negative exp is refused, not inverted."""
     _require_modulus(m)
     if exp < 0:
-        raise ValueError(f"exponent must be non-negative, got {exp}")
+        raise DomainError(f"exponent must be non-negative, got {exp}")
     return pow(base, exp, m)
 
 
@@ -86,7 +86,7 @@ def factorial_mod(n: int, m: int) -> int:
     """n! mod m, reducing after every multiplication; n! is never materialized."""
     _require_modulus(m)
     if n < 0:
-        raise ValueError(f"factorial is undefined for negative n, got {n}")
+        raise DomainError(f"factorial is undefined for negative n, got {n}")
     out = 1
     for i in range(2, n + 1):
         out = out * i % m
@@ -96,7 +96,7 @@ def factorial_mod(n: int, m: int) -> int:
 def smallest_divisor(n: int) -> int | None:
     """Smallest divisor d with 2 <= d <= sqrt(n), or None when n is prime."""
     if n < 2:
-        raise ValueError(f"primality is tested for n >= 2, got {n}")
+        raise DomainError(f"primality is tested for integers at least 2 (n >= 2), got {n}")
     for d in range(2, isqrt(n) + 1):
         if n % d == 0:
             return d
@@ -120,7 +120,9 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
     starts at 2 has an empty prefix, so M is never formed.
     """
     if lo < 2:
-        raise ValueError(f"wilson test needs n >= 2, got {lo}")
+        raise DomainError(
+            f"wilson test needs n >= 2 (at least 2, so a range must start at 2), got {lo}"
+        )
     if hi < lo:
         return
     f = 1 if lo == 2 else factorial_mod(lo - 1, prod(range(lo, hi + 1)))
@@ -150,12 +152,12 @@ def wilson_test(n: int) -> PrimalityVerdict:
 def _require_prime(p: int) -> None:
     d = smallest_divisor(p)
     if d is not None:
-        raise ValueError(f"{p} is not prime (divisible by {d})")
+        raise DomainError(f"{p} is not prime (divisible by {d})")
 
 
 def _require_odd_prime(p: int) -> None:
     if p == 2:
-        raise ValueError("p = 2 is excluded: the derivation needs p - 1 even")
+        raise DomainError("p = 2 is excluded: the derivation needs p - 1 even")
     _require_prime(p)
 
 

@@ -1,11 +1,28 @@
 """Test-side polynomial oracles over Fraction coefficients.
 
 The package's symbolic route needs only shifts and scaled sums; these
-helpers (construction, convolution, Horner evaluation) exist so the tests
-can state ring laws and build independent expansions to compare against.
+helpers (construction, convolution, Horner evaluation, the formal
+derivative) exist so the tests can state ring laws and build independent
+expansions to compare against.  ``derivative_collapse_check`` uses them to
+cross-check the two symbolic routes by differentiation.
 """
 
 from fractions import Fraction
+
+from diffwilson.exact import POLY_ZERO, poly_axpy
+from diffwilson.identity import symbolic_difference_poly, symbolic_lower_power_poly
+
+POLY_ONE = (1,)
+
+
+def falling_factorial(n, j):
+    """n*(n-1)*...*(n-j+1), the product of j descending factors from n."""
+    if j < 0:
+        raise ValueError(f"falling factorial needs j >= 0, got {j}")
+    out = 1
+    for k in range(j):
+        out *= n - k
+    return out
 
 
 def poly_from_coeffs(coeffs):
@@ -14,6 +31,23 @@ def poly_from_coeffs(coeffs):
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def poly_is_zero(p):
+    """True for the zero polynomial (whose degree is undefined)."""
+    return not p
+
+
+def poly_degree(p):
+    """Degree of a nonzero polynomial; the zero polynomial has no degree."""
+    if not p:
+        raise ValueError("the zero polynomial has no degree")
+    return len(p) - 1
+
+
+def poly_derivative(p):
+    """Formal derivative; constants map to the zero polynomial."""
+    return poly_from_coeffs([k * c for k, c in enumerate(p)][1:])
 
 
 def poly_mul(p, q):
@@ -33,3 +67,18 @@ def poly_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def derivative_collapse_check(n, j):
+    """Cross-check the j-fold derivative route against the lower-power route.
+
+    Differentiating the expanded alternating sum j times must give the zero
+    polynomial, and must equal n(n-1)...(n-j+1) times the expanded
+    lower-power sum.  Both sides are computed independently and compared
+    exactly.  symbolic_lower_power_poly refuses a j outside 1..n first.
+    """
+    rhs = poly_axpy(falling_factorial(n, j), symbolic_lower_power_poly(n, j), POLY_ZERO)
+    lhs = symbolic_difference_poly(n)
+    for _ in range(j):
+        lhs = poly_derivative(lhs)
+    return poly_is_zero(lhs) and lhs == rhs

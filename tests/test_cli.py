@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from diffwilson import cli, modular
-from diffwilson.exact import parse_rational
+from diffwilson.exact import DomainError, parse_rational
 from diffwilson.identity import VerificationResult
 from diffwilson.modular import PrimalityVerdict
 
@@ -380,6 +380,15 @@ def test_difftable_violation_exits_1(capsys, monkeypatch):
         (["congruence", "binom", "1"], "at least 2"),
         (["difftable", "--degree", "2", "--points", "2"], "at least degree+1"),
         (["difftable", "--degree", "-1", "--points", "3"], "non-negative"),
+        # refused by the library alone, through DomainError
+        (["congruence", "fermat", "1"], "at least 2"),
+        (["congruence", "eq1", "9"], "divisible by 3"),
+        (["identity", "--n", "-2", "--trials", "3", "--seed", "1", "--symbolic"], "non-negative"),
+        (["lower-power", "--n", "3", "--j", "0", "--trials", "2", "--seed", "1"], "1 <= j <= n"),
+        (["wilson-range", "0", "3"], "start at 2"),
+        # --trials and --seed have no effect beside --x
+        (["identity", "--n", "3", "--x", "1", "--seed", "5", "--trials", "4"], "--x is omitted"),
+        (["lower-power", "--n", "3", "--j", "1", "--x", "2", "--trials", "4"], "--x is omitted"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -411,6 +420,17 @@ def test_argparse_rejections_exit_2(capsys, argv):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_plain_value_error_escapes_main(monkeypatch):
+    # Only DomainError is a usage error; any other ValueError is a fault.
+    def broken(n, x):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "verify_difference_sum", broken)
+    with pytest.raises(ValueError, match="internal fault") as excinfo:
+        cli.main(["identity", "--n", "3", "--x", "1"])
+    assert not isinstance(excinfo.value, DomainError)
 
 
 def test_zero_denominator_exits_2_without_traceback():

@@ -6,24 +6,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from poly_oracle import poly_eval, poly_from_coeffs, poly_mul
+from poly_oracle import (
+    POLY_ONE,
+    falling_factorial,
+    poly_degree,
+    poly_derivative,
+    poly_eval,
+    poly_from_coeffs,
+    poly_is_zero,
+    poly_mul,
+)
 
 from diffwilson.exact import (
-    POLY_ONE,
     POLY_ZERO,
+    DomainError,
     binomial,
     binomial_row,
     factorial,
-    falling_factorial,
     format_poly,
     format_rational,
     monomial,
     parse_rational,
     poly_axpy,
     poly_const,
-    poly_degree,
-    poly_derivative,
-    poly_is_zero,
     poly_shift,
 )
 
@@ -45,8 +50,13 @@ def test_factorial_matches_stdlib():
         assert factorial(n) == math.factorial(n)
 
 
+def test_domain_error_is_a_value_error():
+    # Callers that catch ValueError keep catching every refusal.
+    assert issubclass(DomainError, ValueError)
+
+
 def test_factorial_rejects_negative():
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(DomainError, match="negative"):
         factorial(-1)
 
 
@@ -75,7 +85,7 @@ def test_binomial_values(n, i, expected):
 
 
 def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         binomial(-2, 0)
 
 
@@ -88,7 +98,7 @@ def test_binomial_matches_stdlib():
 def test_binomial_row_values():
     assert binomial_row(0) == [1]
     assert binomial_row(4) == [1, 4, 6, 4, 1]
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         binomial_row(-1)
 
 
@@ -131,18 +141,18 @@ def test_parse_rational_accepts(text, expected):
 
 @pytest.mark.parametrize("text", ["1.5", "a", "1/2/3", "", "1e3", "1 /2", "/3"])
 def test_parse_rational_rejects(text):
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(DomainError, match="not an integer"):
         parse_rational(text)
 
 
 def test_parse_rational_rejects_zero_denominator():
-    with pytest.raises(ValueError, match="nonzero"):
+    with pytest.raises(DomainError, match="nonzero"):
         parse_rational("7/0")
 
 
 def test_rational_make_rejects_zero_denominator():
     # rational_make(1, 0) was inlined into parse_rational; its check stays there.
-    with pytest.raises(ValueError, match="nonzero"):
+    with pytest.raises(DomainError, match="nonzero"):
         parse_rational("1/0")
 
 
@@ -170,7 +180,7 @@ def test_poly_construction_canonical():
     assert monomial(0) == POLY_ONE
     assert monomial(3) == (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
     assert all(type(c) is int for c in monomial(3) + poly_const(7))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         monomial(-1)
 
 

@@ -8,14 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from poly_oracle import poly_from_coeffs, poly_mul
+from poly_oracle import derivative_collapse_check, poly_from_coeffs, poly_mul
 
-from diffwilson.exact import POLY_ZERO, factorial, monomial, poly_const
+from diffwilson.exact import POLY_ZERO, DomainError, factorial, monomial, poly_const
 from diffwilson.identity import (
     _alternating_expansion,
     _alternating_sum_at,
     backward_difference,
-    derivative_collapse_check,
     difference_table,
     eval_difference_sum,
     eval_lower_power_sum,
@@ -80,13 +79,13 @@ def test_eval_lower_power_sum_is_zero(n, j, x):
 
 
 def test_eval_difference_sum_rejects_negative_n():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(DomainError, match="non-negative"):
         eval_difference_sum(-1, 0)
 
 
 @pytest.mark.parametrize("n,j", [(0, 1), (3, 0), (3, 4), (5, -1)])
 def test_eval_lower_power_sum_rejects_bad_j(n, j):
-    with pytest.raises(ValueError, match="1 <= j <= n"):
+    with pytest.raises(DomainError, match="1 <= j <= n"):
         eval_lower_power_sum(n, j, 0)
 
 
@@ -146,11 +145,11 @@ def test_symbolic_lower_power_poly_is_zero():
 
 
 def test_symbolic_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         symbolic_difference_poly(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         symbolic_lower_power_poly(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         symbolic_lower_power_poly(4, 5)
 
 
@@ -159,7 +158,7 @@ def test_backward_difference_examples():
     assert backward_difference(monomial(2), 1) == (Fraction(-1), Fraction(2))
     assert backward_difference(monomial(2), 0) == monomial(2)
     assert backward_difference(poly_const(9), 1) == POLY_ZERO
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         backward_difference(monomial(2), -1)
 
 
@@ -191,7 +190,7 @@ def test_derivative_collapse_check(n, j):
 
 
 def test_derivative_collapse_rejects_bad_j():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         derivative_collapse_check(3, 0)
 
 
@@ -208,9 +207,9 @@ def test_difference_table_constant_column():
 
 
 def test_difference_table_rejects_short_sample():
-    with pytest.raises(ValueError, match="degree\\+1 sample points"):
+    with pytest.raises(DomainError, match="degree\\+1 sample points"):
         difference_table(3, 3)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(DomainError, match="non-negative"):
         difference_table(-1, 5)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffwilson.exact import factorial
+from diffwilson.exact import DomainError, factorial
 from diffwilson.identity import eval_difference_sum
 from diffwilson import modular
 from diffwilson.modular import (
@@ -54,9 +54,9 @@ def test_mod_pow_matches_naive_grid():
 
 
 def test_mod_pow_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(DomainError, match="at least 2"):
         mod_pow(2, 3, 1)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(DomainError, match="non-negative"):
         mod_pow(2, -1, 5)
 
 
@@ -72,9 +72,9 @@ def test_factorial_mod_matches_exact():
 
 
 def test_factorial_mod_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         factorial_mod(5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         factorial_mod(-1, 5)
 
 
@@ -83,7 +83,7 @@ def test_smallest_divisor_values():
     assert smallest_divisor(9) == 3
     assert smallest_divisor(91) == 7
     assert smallest_divisor(97) is None
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(DomainError, match="n >= 2"):
         smallest_divisor(1)
 
 
@@ -121,7 +121,7 @@ def test_wilson_test_matches_sieve():
 
 
 def test_wilson_test_rejects_small_n():
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(DomainError, match="n >= 2"):
         wilson_test(1)
 
 
@@ -188,7 +188,7 @@ def test_wilson_sweep_narrow_high_range():
 
 def test_wilson_sweep_empty_range_and_bad_start():
     assert list(wilson_sweep(7, 6)) == []
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(DomainError, match="n >= 2"):
         next(wilson_sweep(1, 5))
 
 
@@ -212,7 +212,7 @@ def test_binomial_row_mod_all_primes():
 
 
 def test_binomial_row_mod_rejects_composite_with_witness():
-    with pytest.raises(ValueError, match=r"9 is not prime \(divisible by 3\)"):
+    with pytest.raises(DomainError, match=r"9 is not prime \(divisible by 3\)"):
         binomial_row_mod(9)
 
 
@@ -228,7 +228,7 @@ def test_fermat_check_all_primes():
 
 
 def test_fermat_check_rejects_composite():
-    with pytest.raises(ValueError, match="divisible by 7"):
+    with pytest.raises(DomainError, match="divisible by 7"):
         fermat_check(49)
 
 
@@ -251,9 +251,9 @@ def test_power_sum_mod_residue_is_p_minus_1():
 
 
 def test_power_sum_mod_rejects_two_and_composites():
-    with pytest.raises(ValueError, match="p - 1 even"):
+    with pytest.raises(DomainError, match="p - 1 even"):
         power_sum_mod(2)
-    with pytest.raises(ValueError, match="divisible by 3"):
+    with pytest.raises(DomainError, match="divisible by 3"):
         power_sum_mod(15)
 
 
@@ -298,9 +298,9 @@ def test_identity_at_zero_mod_all_small_primes():
 
 
 def test_identity_at_zero_mod_rejects_bad_p():
-    with pytest.raises(ValueError, match="p - 1 even"):
+    with pytest.raises(DomainError, match="p - 1 even"):
         identity_at_zero_mod(2)
-    with pytest.raises(ValueError, match="divisible by 3"):
+    with pytest.raises(DomainError, match="divisible by 3"):
         identity_at_zero_mod(9)
 
 
