@@ -20,13 +20,17 @@ floating-point literals are rejected.  A negative num/den point takes the
 Integers serialize as decimal strings and rationals as "num/den" strings,
 so values survive any JSON consumer losslessly.
 
+Each subcommand is one row of COMMANDS.  main prices a request with its
+row's cost function and refuses one over BUDGET (for the wilson rows,
+--max-wilson) before the row's handler does any work.
+
 Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
-2 usage error, from argparse or any DomainError (every library and flag
-refusal); 141 (128 + SIGPIPE) the reader closed stdout before the output
-ended, e.g. ``diffwilson wilson-range 2 200000 | head -2``.  (A "status":
-"error" payload value is reserved; usage errors are reported on stderr
-instead.)
+2 usage error, from argparse or any DomainError (every library, flag and
+budget refusal); 141 (128 + SIGPIPE) the reader closed stdout before the
+output ended, e.g. ``diffwilson wilson-range 2 200000 | head -2``.  (A
+"status": "error" payload value is reserved; usage errors are reported on
+stderr instead.)
 """
 
 from __future__ import annotations
@@ -38,11 +42,10 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exact import (
     DomainError,
-    Poly,
     factorial,
     format_poly,
     format_rational,
@@ -50,7 +53,6 @@ from .exact import (
     poly_const,
 )
 from .identity import (
-    VerificationResult,
     difference_table,
     sample_rationals,
     symbolic_difference_poly,
@@ -70,8 +72,62 @@ from .modular import (
 
 SCHEMA_VERSION = "1"
 DEFAULT_TRIALS = 10
-DEFAULT_MAX_WILSON = 10**7
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that hung up
+
+
+class Cost(NamedTuple):
+    """What one request would spend, in the units its budgets count."""
+
+    terms: int = 0  # exact terms summed, points checked and entries built
+    bits: int = 0  # the size of the big terms: their count times the largest bit length
+    n: int = 0  # the largest n whose Wilson residue is computed; --max-wilson sets its budget
+
+
+# The terms and bits budgets each admit about a second of work (in-process times of main,
+# 2-vCPU host, CPython 3.11.7): identity --n 3 --trials 100000 (6.0e5 terms) 2.4 s, identity
+# --n 400 --x 1 --symbolic (1.6e5) 0.48 s, congruence fermat 100003 (1.0e5) 0.52 s;
+# identity --n 3000 --x 1 (1.17e8 bits) 1.1 s, congruence eq1 3001 (1.17e8) 1.1 s.
+BUDGET = Cost(terms=150_000, bits=120_000_000, n=10**7)
+
+_REFUSALS = {
+    "terms": "{command} needs {spent} exact terms, over the budget of {limit}",
+    "bits": "{command} needs {spent} bits of exact terms, over the budget of {limit}",
+    "n": "n={spent} exceeds --max-wilson={limit}: wilson n costs n-2 modular multiplications,"
+    " and wilson-range lo hi one multiplication and one reduction per n on an integer of"
+    " about log2(hi!) bits (27 MB at hi = 10**7); raise the bound explicitly if you mean it",
+}
+
+
+def _sum_cost(args: argparse.Namespace) -> Cost:
+    # Per point a/b: n+1 terms C(n, i) (a - i*b)**m, each below 2**n (|a| + n*b)**m, and
+    # about two more for drawing the point and checking its closed form.  Powers take longer
+    # than their size, so they count in bits too; the symbolic route's (n+1)(m+1) products by
+    # machine-size factors do not.  An n or j outside the domain costs next to nothing.
+    n, j = max(args.n, 0), getattr(args, "j", 0)
+    m = n - j if 0 <= j <= n else 0
+    if args.x is None:
+        points = DEFAULT_TRIALS if args.trials is None else max(args.trials, 0)
+        a = b = 1000  # the component bound of sample_rationals
+    else:
+        points, a, b = 1, abs(args.x.numerator), args.x.denominator
+    bits = points * (n + 1) * (n + m * (a + n * b).bit_length())
+    return Cost(terms=points * (n + 3) + args.symbolic * (n + 1) * (m + 1), bits=bits)
+
+
+def _congruence_cost(args: argparse.Namespace) -> Cost:
+    # p entries or terms each: binom's C(p-1, i) are below 2**p, and eq1 sums the
+    # identity's terms at x = 0 with n = m = p-1.
+    p = max(args.p, 0)
+    bits = {"binom": p * p, "eq1": p * (p + p * p.bit_length())}.get(args.kind, 0)
+    return Cost(terms=p, bits=bits)
+
+
+def _table_cost(args: argparse.Namespace) -> Cost:
+    # Column m holds points - m entries, each below points**degree.  A degree or point
+    # count outside the domain costs nothing, and the library refuses it.
+    degree, points = args.degree, args.points
+    entries = (degree + 1) * points - degree * (degree + 1) // 2 if 0 <= degree < points else 0
+    return Cost(terms=entries, bits=entries * degree * (points - 1).bit_length())
 
 
 def rational(text: str) -> Fraction:
@@ -101,50 +157,33 @@ def _report(
     return 0 if holds else 1
 
 
-def _pick_points(args: argparse.Namespace, params: dict) -> list[Fraction]:
-    """Single --x point, or --trials seeded random rationals with the seed echoed."""
+def _cmd_sum(args: argparse.Namespace) -> int:
+    """identity and lower-power; the text header names every param except x."""
+    n, j = args.n, getattr(args, "j", None)
+    params = {"n": str(n)} if j is None else {"n": str(n), "j": str(j)}
     if args.x is not None:
         if args.trials is not None or args.seed is not None:
             raise DomainError("--trials and --seed apply only when --x is omitted")
-        return [args.x]
-    trials = DEFAULT_TRIALS if args.trials is None else args.trials
-    if trials < 1:
-        raise DomainError(f"--trials must be at least 1, got {trials}")
-    seed = args.seed
-    if seed is None:
-        seed = random.SystemRandom().randrange(2**64)
-    elif not 0 <= seed < 2**64:
-        raise DomainError("--seed must fit in an unsigned 64-bit integer")
-    params["trials"] = str(trials)
-    params["seed"] = str(seed)
-    return sample_rationals(random.Random(seed), trials)
-
-
-def _cmd_identity(args: argparse.Namespace) -> int:
-    params = {"n": str(args.n)}
-    points = _pick_points(args, params)
-    results = [verify_difference_sum(args.n, x) for x in points]
-    poly = symbolic_difference_poly(args.n) if args.symbolic else None
-    return _report_sum(args, "identity", params, results, poly)
-
-
-def _cmd_lower_power(args: argparse.Namespace) -> int:
-    params = {"n": str(args.n), "j": str(args.j)}
-    points = _pick_points(args, params)
-    results = [verify_lower_power_sum(args.n, args.j, x) for x in points]
-    poly = symbolic_lower_power_poly(args.n, args.j) if args.symbolic else None
-    return _report_sum(args, "lower-power", params, results, poly)
-
-
-def _report_sum(
-    args: argparse.Namespace,
-    check: str,
-    params: dict,
-    results: list[VerificationResult],
-    poly: Poly | None,
-) -> int:
-    """Report identity-style rows; the text header names every param except x."""
-    header = " ".join([check] + [f"{k}={v}" for k, v in params.items()])
+        points = [args.x]
+    else:
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        if trials < 1:
+            raise DomainError(f"--trials must be at least 1, got {trials}")
+        seed = args.seed
+        if seed is None:
+            seed = random.SystemRandom().randrange(2**64)
+        elif not 0 <= seed < 2**64:
+            raise DomainError("--seed must fit in an unsigned 64-bit integer")
+        params["trials"] = str(trials)
+        params["seed"] = str(seed)
+        points = sample_rationals(random.Random(seed), trials)
+    if j is None:
+        results = [verify_difference_sum(n, x) for x in points]
+        poly = symbolic_difference_poly(n) if args.symbolic else None
+    else:
+        results = [verify_lower_power_sum(n, j, x) for x in points]
+        poly = symbolic_lower_power_poly(n, j) if args.symbolic else None
+    header = " ".join([args.command] + [f"{k}={v}" for k, v in params.items()])
     rows = [
         (format_rational(r.x), format_rational(r.lhs), format_rational(r.rhs), r.holds)
         for r in results
@@ -167,18 +206,7 @@ def _report_sum(
         joined = ", ".join(coefficients)
         lines.append(f"symbolic: coefficients=[{joined}] holds={_b(sym_holds)}")
         holds = holds and sym_holds
-    return _report(args, check, params, body, lines, holds)
-
-
-def _check_wilson_bound(n: int, bound: int) -> None:
-    if n > bound:
-        raise DomainError(
-            f"n={n} exceeds --max-wilson={bound}: wilson n costs n-2 modular"
-            " multiplications, and wilson-range lo hi one multiplication and one"
-            " reduction per n on an integer of about log2(hi!) bits (about 15 KB"
-            " at hi = 10**4, 2.3 MB at 10**6, 27 MB at 10**7); raise the bound"
-            " explicitly if you mean it"
-        )
+    return _report(args, args.command, params, body, lines, holds)
 
 
 def _verdict(v: PrimalityVerdict) -> tuple[dict, str]:
@@ -191,7 +219,6 @@ def _verdict(v: PrimalityVerdict) -> tuple[dict, str]:
 
 
 def _cmd_wilson(args: argparse.Namespace) -> int:
-    _check_wilson_bound(args.n, args.max_wilson)
     v = wilson_test(args.n)
     fields, line = _verdict(v)
     params = {"n": fields["n"]}
@@ -202,7 +229,6 @@ def _cmd_wilson_range(args: argparse.Namespace) -> int:
     lo, hi = args.lo, args.hi
     if hi < lo:
         raise DomainError(f"empty range: {lo}..{hi}")
-    _check_wilson_bound(hi, args.max_wilson)
     primes = 0
     all_agree = True
     for v in wilson_sweep(lo, hi):
@@ -263,6 +289,46 @@ def _cmd_difftable(args: argparse.Namespace) -> int:
     return _report(args, "difftable", {"degree": d, "points": pts}, body, lines, holds)
 
 
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_POINTS = (
+    _arg("--x", type=rational, help="exact evaluation point, integer or num/den (a negative"
+         " num/den needs the = form, --x=-3/7); omitted: seeded random points"),
+    _arg("--trials", type=int, metavar="K",
+         help=f"randomized points when --x is omitted (default {DEFAULT_TRIALS})"),
+    _arg("--seed", type=int, metavar="U64",
+         help="seed for randomized evaluation points (reproduces a run exactly)"),
+    _arg("--symbolic", action="store_true", help="also check the symbolic collapse"),
+)
+_MAX_WILSON = _arg("--max-wilson", type=int, default=BUDGET.n, metavar="BOUND",
+                   help=f"refuse wilson checks above this n (default {BUDGET.n})")
+
+# One row per subcommand: name, help, handler, cost, then its arguments after --json.
+COMMANDS = (
+    ("identity", "alternating difference sum against the factorial constant", _cmd_sum,
+     _sum_cost, _arg("--n", type=int, required=True, help="sum order (non-negative)"), *_POINTS),
+    ("lower-power", "lowered-exponent alternating sum against zero", _cmd_sum, _sum_cost,
+     _arg("--n", type=int, required=True, help="sum order (positive)"),
+     _arg("--j", type=int, required=True, help="exponent drop, 1 <= j <= n"), *_POINTS),
+    ("wilson", "factorial-residue primality verdict for one n", _cmd_wilson,
+     lambda args: Cost(n=args.n), _arg("n", type=int, help="integer to test, n >= 2"),
+     _MAX_WILSON),
+    ("wilson-range", "stream factorial-residue verdicts for lo..hi", _cmd_wilson_range,
+     lambda args: Cost(n=args.hi), _arg("lo", type=int, help="first n (>= 2)"),
+     _arg("hi", type=int, help="last n (inclusive)"), _MAX_WILSON),
+    ("congruence", "per-index congruence report mod a prime", _cmd_congruence, _congruence_cost,
+     _arg("kind", choices=sorted(_CONGRUENCE_KINDS),
+          help="binom: binomial row vs alternating pattern; fermat: (p-1)-th powers;"
+          " power-sum: power sum vs factorial; eq1: the identity at x=0 reduced mod p"),
+     _arg("p", type=int, help="prime modulus (odd for power-sum and eq1)")),
+    ("difftable", "difference table of x**degree with its constant column", _cmd_difftable,
+     _table_cost, _arg("--degree", type=int, required=True, help="monomial degree"),
+     _arg("--points", type=int, required=True, help="sample count >= degree+1")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffwilson",
@@ -270,84 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
         " and the Wilson congruence chain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary):
+    for name, summary, handler, cost, *arguments in COMMANDS:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-        p.set_defaults(handler=handler)
-        return p
-
-    def add_points(p):
-        p.add_argument(
-            "--x",
-            type=rational,
-            help="exact evaluation point, integer or num/den (a negative num/den needs"
-            " the = form, --x=-3/7); omitted: seeded random points",
-        )
-        p.add_argument(
-            "--trials",
-            type=int,
-            metavar="K",
-            help=f"randomized points when --x is omitted (default {DEFAULT_TRIALS})",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            metavar="U64",
-            help="seed for randomized evaluation points (reproduces a run exactly)",
-        )
-        p.add_argument(
-            "--symbolic", action="store_true", help="also check the symbolic collapse"
-        )
-
-    def add_max_wilson(p):
-        p.add_argument(
-            "--max-wilson",
-            type=int,
-            default=DEFAULT_MAX_WILSON,
-            metavar="BOUND",
-            help=f"refuse wilson checks above this n (default {DEFAULT_MAX_WILSON})",
-        )
-
-    p = command(
-        "identity", _cmd_identity, "alternating difference sum against the factorial constant"
-    )
-    p.add_argument("--n", type=int, required=True, help="sum order (non-negative)")
-    add_points(p)
-
-    p = command(
-        "lower-power", _cmd_lower_power, "lowered-exponent alternating sum against zero"
-    )
-    p.add_argument("--n", type=int, required=True, help="sum order (positive)")
-    p.add_argument("--j", type=int, required=True, help="exponent drop, 1 <= j <= n")
-    add_points(p)
-
-    p = command("wilson", _cmd_wilson, "factorial-residue primality verdict for one n")
-    p.add_argument("n", type=int, help="integer to test, n >= 2")
-    add_max_wilson(p)
-
-    p = command(
-        "wilson-range", _cmd_wilson_range, "stream factorial-residue verdicts for lo..hi"
-    )
-    p.add_argument("lo", type=int, help="first n (>= 2)")
-    p.add_argument("hi", type=int, help="last n (inclusive)")
-    add_max_wilson(p)
-
-    p = command("congruence", _cmd_congruence, "per-index congruence report mod a prime")
-    p.add_argument(
-        "kind",
-        choices=sorted(_CONGRUENCE_KINDS),
-        help="binom: binomial row vs alternating pattern; fermat: (p-1)-th powers;"
-        " power-sum: power sum vs factorial; eq1: the identity at x=0 reduced mod p",
-    )
-    p.add_argument("p", type=int, help="prime modulus (odd for power-sum and eq1)")
-
-    p = command(
-        "difftable", _cmd_difftable, "difference table of x**degree with its constant column"
-    )
-    p.add_argument("--degree", type=int, required=True, help="monomial degree")
-    p.add_argument("--points", type=int, required=True, help="sample count >= degree+1")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler, cost=cost)
     return parser
 
 
@@ -376,6 +370,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     # numeric literals too long to convert cheaply.
     args = build_parser().parse_args(argv)
     try:
+        budget = BUDGET._replace(n=getattr(args, "max_wilson", BUDGET.n))
+        for unit, spent, limit in zip(Cost._fields, args.cost(args), budget):
+            if spent > limit:  # refused before the handler does any work
+                message = _REFUSALS[unit].format(command=args.command, spent=spent, limit=limit)
+                raise DomainError(message)
         with _unlimited_int_digits():
             code = args.handler(args)
         sys.stdout.flush()

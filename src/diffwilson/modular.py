@@ -9,9 +9,10 @@ chain is a separately checkable report.
 
 Residues are always normalized to [0, m), so every congruence check is a
 plain equality of canonical representatives, and ``_congruence`` derives
-every report's verdict from its entries.  Results are immutable NamedTuples;
-``mod_pow`` is the built-in ``pow`` behind two refusals.  Trial division
-serves as the independent primality oracle throughout.
+every report's verdict from its entries and any exact values it carries.
+Results are immutable NamedTuples; ``mod_pow`` is the built-in ``pow``
+behind two refusals.  Trial division serves as the independent primality
+oracle throughout.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class CongruenceReport(NamedTuple):
     """One modular check; holds iff residue == expected for every entry.
 
     A check that first compares exact integers before reducing them (the
-    identity at x = 0) also carries those two values.
+    identity at x = 0) also carries those two values, and holds only if
+    they are equal as well.
     """
 
     check: str
@@ -162,8 +164,10 @@ def _require_odd_prime(p: int) -> None:
 
 
 def _congruence(check: str, p: int, entries: tuple, **exact: int) -> CongruenceReport:
-    """The report on entries mod p: it holds iff every residue equals its expected value."""
+    """The report on entries mod p: it holds iff every residue equals its expected
+    value and the exact values, where given, are equal."""
     holds = all(e.residue == e.expected for e in entries)
+    holds = holds and exact.get("exact_lhs") == exact.get("exact_expected")
     return CongruenceReport(check, p, entries, holds, **exact)
 
 
@@ -221,14 +225,12 @@ def alternating_power_sum_at_zero(p: int) -> int:
 def identity_at_zero_mod(p: int) -> CongruenceReport:
     """The x = 0 instance of the difference-sum identity, reduced mod p.
 
-    The exact (unreduced) sum must equal (p-1)!; a mismatch would mean
-    broken arithmetic, so it raises rather than reports.  The entry then
-    compares the sum mod p with factorial_mod(p-1, p).  The report carries
-    both exact values.
+    The exact (unreduced) sum must equal (p-1)!, and its one entry compares
+    the sum mod p with factorial_mod(p-1, p).  The report carries both
+    exact values and holds only if both comparisons do; a failure of
+    either means broken arithmetic, reported as a violation.
     """
     lhs = alternating_power_sum_at_zero(p)
     expected = factorial(p - 1)
-    if lhs != expected:
-        raise ArithmeticError(f"alternating sum at zero for p={p} is not (p-1)!")
     entries = (CongruenceEntry(0, lhs % p, factorial_mod(p - 1, p)),)
     return _congruence("identity-at-zero", p, entries, exact_lhs=lhs, exact_expected=expected)

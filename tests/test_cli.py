@@ -5,6 +5,7 @@ Exit code 1 means a guaranteed identity failed, which correct arithmetic
 cannot produce, so those paths are driven by monkeypatched verifiers.
 """
 
+import argparse
 import json
 import math
 import pathlib
@@ -349,6 +350,20 @@ def test_congruence_violation_exits_1(capsys, monkeypatch):
     assert payload["status"] == "violated"
 
 
+def test_congruence_eq1_broken_exact_sum_exits_1(capsys, monkeypatch):
+    # The lie keeps the residue mod p, so only the exact comparison sees it.
+    real = modular.alternating_power_sum_at_zero
+    monkeypatch.setattr(modular, "alternating_power_sum_at_zero", lambda p: real(p) + p)
+    assert cli.main(["congruence", "eq1", "5", "--json"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (payload["exact_lhs"], payload["exact_expected"]) == ("29", "24")
+    assert payload["exact_equal"] is False
+    assert payload["entries"] == [{"index": "0", "residue": "4", "expected": "4"}]
+    assert (payload["holds"], payload["status"]) == (False, "violated")
+    assert captured.err == ""
+
+
 def test_difftable_violation_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "difference_table", lambda d, p: [[0, 1], [7]])
     assert cli.main(["difftable", "--degree", "1", "--points", "2"]) == 1
@@ -360,6 +375,17 @@ def test_difftable_violation_exits_1(capsys, monkeypatch):
 
 
 # exit code 2: usage errors on stderr
+
+OVER_BUDGET = [
+    ["difftable", "--degree", "2", "--points", "100000000"],
+    ["congruence", "fermat", "1000000007"],
+    ["congruence", "binom", "1000003"],
+    ["congruence", "eq1", "100003"],
+    ["identity", "--n", "3", "--trials", "100000000"],
+    ["identity", "--n", "200000", "--x", "1"],
+    ["identity", "--n", "3000", "--x", "1", "--symbolic"],
+    ["identity", "--n", "-1", "--trials", "200000", "--seed", "1"],
+]
 
 
 @pytest.mark.parametrize(
@@ -389,6 +415,8 @@ def test_difftable_violation_exits_1(capsys, monkeypatch):
         # --trials and --seed have no effect beside --x
         (["identity", "--n", "3", "--x", "1", "--seed", "5", "--trials", "4"], "--x is omitted"),
         (["lower-power", "--n", "3", "--j", "1", "--x", "2", "--trials", "4"], "--x is omitted"),
+        # over budget, refused before any work starts
+        *[(argv, "over the budget") for argv in OVER_BUDGET],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -450,3 +478,72 @@ def test_default_wilson_bound_is_enforced(capsys):
     assert "max-wilson" in capsys.readouterr().err
     assert cli.main(["wilson-range", "2", "10000001"]) == 2
     capsys.readouterr()
+
+
+def _never(*args):
+    raise AssertionError("work started on a request over budget")
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET, ids=[" ".join(a) for a in OVER_BUDGET])
+def test_over_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
+    for name in (
+        "sample_rationals",
+        "verify_difference_sum",
+        "verify_lower_power_sum",
+        "symbolic_difference_poly",
+        "symbolic_lower_power_poly",
+        "difference_table",
+        "wilson_test",
+        "wilson_sweep",
+    ):
+        monkeypatch.setattr(cli, name, _never)
+    for kind in cli._CONGRUENCE_KINDS:
+        monkeypatch.setitem(cli._CONGRUENCE_KINDS, kind, _never)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+# The largest request of each shape that the benchmark and the tests run.
+ADMITTED = [
+    ["identity", "--n", "200", "--trials", "25", "--seed", "1", "--symbolic", "--json"],
+    ["lower-power", "--n", "200", "--j", "1", "--trials", "5", "--seed", "1", "--symbolic"],
+    ["identity", "--n", "1575", "--x", "1"],
+    ["congruence", "eq1", "1583"],
+    ["congruence", "binom", "1999"],
+    ["congruence", "fermat", "1999"],
+    ["congruence", "power-sum", "1999"],
+    ["difftable", "--degree", "100", "--points", "1000", "--json"],
+    ["wilson-range", "2", "10050", "--json"],
+    ["wilson-range", "2", "200000"],
+    ["wilson", "1000000"],
+]
+
+
+@pytest.mark.parametrize("argv", ADMITTED, ids=[" ".join(a) for a in ADMITTED])
+def test_requests_in_use_are_within_budget(argv):
+    args = cli.build_parser().parse_args(argv)
+    budget = cli.BUDGET._replace(n=getattr(args, "max_wilson", cli.BUDGET.n))
+    cost = args.cost(args)
+    assert all(spent <= limit for spent, limit in zip(cost, budget)), (cost, budget)
+
+
+FLAGS = {
+    "identity": {"--json", "--n", "--x", "--trials", "--seed", "--symbolic"},
+    "lower-power": {"--json", "--n", "--j", "--x", "--trials", "--seed", "--symbolic"},
+    "wilson": {"--json", "n", "--max-wilson"},
+    "wilson-range": {"--json", "lo", "hi", "--max-wilson"},
+    "congruence": {"--json", "kind", "p"},
+    "difftable": {"--json", "--degree", "--points"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {s for a in p._actions if a.dest != "help" for s in a.option_strings or [a.dest]}
+        for name, p in sub.choices.items()
+    }
+    assert got == FLAGS

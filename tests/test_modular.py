@@ -305,10 +305,14 @@ def test_identity_at_zero_mod_rejects_bad_p():
 
 
 def test_identity_at_zero_mod_raises_on_arithmetic_break(monkeypatch):
-    # The exact-sum guard is unreachable through correct arithmetic.
-    monkeypatch.setattr(modular, "alternating_power_sum_at_zero", lambda p: 0)
-    with pytest.raises(ArithmeticError, match="not \\(p-1\\)!"):
-        identity_at_zero_mod(5)
+    # A broken exact sum is reported as a violation, not raised.  The lie
+    # keeps the sum's residue mod p, so only the exact comparison sees it.
+    real = modular.alternating_power_sum_at_zero
+    monkeypatch.setattr(modular, "alternating_power_sum_at_zero", lambda p: real(p) + p)
+    report = identity_at_zero_mod(5)
+    assert report.entries == (modular.CongruenceEntry(0, 4, 4),)
+    assert (report.exact_lhs, report.exact_expected) == (29, 24)
+    assert report.holds is False
 
 
 def test_residues_normalized_across_reports():
