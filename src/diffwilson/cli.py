@@ -53,12 +53,13 @@ from .exact import (
     poly_const,
 )
 from .identity import (
+    SAMPLE_BOUND,
     difference_table,
+    eval_difference_sum,
+    eval_lower_power_sum,
     sample_rationals,
     symbolic_difference_poly,
     symbolic_lower_power_poly,
-    verify_difference_sum,
-    verify_lower_power_sum,
 )
 from .modular import (
     PrimalityVerdict,
@@ -99,15 +100,15 @@ _REFUSALS = {
 
 
 def _sum_cost(args: argparse.Namespace) -> Cost:
-    # Per point a/b: n+1 terms C(n, i) (a - i*b)**m, each below 2**n (|a| + n*b)**m, and
-    # about two more for drawing the point and checking its closed form.  Powers take longer
-    # than their size, so they count in bits too; the symbolic route's (n+1)(m+1) products by
-    # machine-size factors do not.  An n or j outside the domain costs next to nothing.
+    # Per point a/b: n+1 terms C(n, i) (a - i*b)**m, each below 2**n (|a| + n*b)**m, and two
+    # more to draw it and compare it with the closed form, computed once per request.  Powers
+    # take longer than their size, so they count in bits too; the symbolic route's (n+1)(m+1)
+    # products by small factors do not.  An n or j outside the domain costs next to nothing.
     n, j = max(args.n, 0), getattr(args, "j", 0)
     m = n - j if 0 <= j <= n else 0
     if args.x is None:
         points = DEFAULT_TRIALS if args.trials is None else max(args.trials, 0)
-        a = b = 1000  # the component bound of sample_rationals
+        a = b = SAMPLE_BOUND
     else:
         points, a, b = 1, abs(args.x.numerator), args.x.denominator
     bits = points * (n + 1) * (n + m * (a + n * b).bit_length())
@@ -126,7 +127,8 @@ def _table_cost(args: argparse.Namespace) -> Cost:
     # Column m holds points - m entries, each below points**degree.  A degree or point
     # count outside the domain costs nothing, and the library refuses it.
     degree, points = args.degree, args.points
-    entries = (degree + 1) * points - degree * (degree + 1) // 2 if 0 <= degree < points else 0
+    below_diagonal = degree * (degree + 1) // 2
+    entries = (degree + 1) * points - below_diagonal if 0 <= degree < points else 0
     return Cost(terms=entries, bits=entries * degree * (points - 1).bit_length())
 
 
@@ -178,30 +180,31 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         params["seed"] = str(seed)
         points = sample_rationals(random.Random(seed), trials)
     if j is None:
-        results = [verify_difference_sum(n, x) for x in points]
+        sums = [eval_difference_sum(n, x) for x in points]
         poly = symbolic_difference_poly(n) if args.symbolic else None
+        closed = Fraction(factorial(n))  # once the routes have refused a negative n
     else:
-        results = [verify_lower_power_sum(n, j, x) for x in points]
+        sums = [eval_lower_power_sum(n, j, x) for x in points]
         poly = symbolic_lower_power_poly(n, j) if args.symbolic else None
+        closed = Fraction(0)
     header = " ".join([args.command] + [f"{k}={v}" for k, v in params.items()])
-    rows = [
-        (format_rational(r.x), format_rational(r.lhs), format_rational(r.rhs), r.holds)
-        for r in results
-    ]
+    rhs = format_rational(closed)
+    rows = [(format_rational(x), format_rational(v), v == closed)
+            for x, v in zip(points, sums)]
     if args.x is not None:  # after the header, which shows x on its row only
         params["x"] = rows[0][0]
     body: dict = {
-        "results": [{"x": x, "lhs": lhs, "rhs": rhs, "holds": ok} for x, lhs, rhs, ok in rows]
+        "results": [{"x": x, "lhs": lhs, "rhs": rhs, "holds": ok} for x, lhs, ok in rows]
     }
     if len(rows) == 1:
         body["lhs"] = rows[0][1]
-    body["rhs"] = rows[0][2]
+    body["rhs"] = rhs
     lines = [header]
-    lines += [f"x={x}: lhs={lhs} rhs={rhs} holds={_b(ok)}" for x, lhs, rhs, ok in rows]
-    holds = all(r.holds for r in results)
+    lines += [f"x={x}: lhs={lhs} rhs={rhs} holds={_b(ok)}" for x, lhs, ok in rows]
+    holds = all(ok for _, _, ok in rows)
     if poly is not None:
         coefficients = format_poly(poly)
-        sym_holds = poly == poly_const(results[0].rhs)  # must collapse to the rhs
+        sym_holds = poly == poly_const(closed)  # must collapse to the closed form
         body["symbolic"] = {"coefficients": coefficients, "holds": sym_holds}
         joined = ", ".join(coefficients)
         lines.append(f"symbolic: coefficients=[{joined}] holds={_b(sym_holds)}")
@@ -308,7 +311,8 @@ _MAX_WILSON = _arg("--max-wilson", type=int, default=BUDGET.n, metavar="BOUND",
 # One row per subcommand: name, help, handler, cost, then its arguments after --json.
 COMMANDS = (
     ("identity", "alternating difference sum against the factorial constant", _cmd_sum,
-     _sum_cost, _arg("--n", type=int, required=True, help="sum order (non-negative)"), *_POINTS),
+     _sum_cost, _arg("--n", type=int, required=True, help="sum order (non-negative)"),
+     *_POINTS),
     ("lower-power", "lowered-exponent alternating sum against zero", _cmd_sum, _sum_cost,
      _arg("--n", type=int, required=True, help="sum order (positive)"),
      _arg("--j", type=int, required=True, help="exponent drop, 1 <= j <= n"), *_POINTS),
@@ -318,8 +322,8 @@ COMMANDS = (
     ("wilson-range", "stream factorial-residue verdicts for lo..hi", _cmd_wilson_range,
      lambda args: Cost(n=args.hi), _arg("lo", type=int, help="first n (>= 2)"),
      _arg("hi", type=int, help="last n (inclusive)"), _MAX_WILSON),
-    ("congruence", "per-index congruence report mod a prime", _cmd_congruence, _congruence_cost,
-     _arg("kind", choices=sorted(_CONGRUENCE_KINDS),
+    ("congruence", "per-index congruence report mod a prime", _cmd_congruence,
+     _congruence_cost, _arg("kind", choices=sorted(_CONGRUENCE_KINDS),
           help="binom: binomial row vs alternating pattern; fermat: (p-1)-th powers;"
           " power-sum: power sum vs factorial; eq1: the identity at x=0 reduced mod p"),
      _arg("p", type=int, help="prime modulus (odd for power-sum and eq1)")),
@@ -366,16 +370,16 @@ def _unlimited_int_digits() -> Iterator[None]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Arguments are parsed under the default limit, which keeps refusing
-    # numeric literals too long to convert cheaply.
+    # Arguments are parsed under the default limit, which keeps refusing numeric
+    # literals too long to convert cheaply; a refusal may quote a cost past it.
     args = build_parser().parse_args(argv)
     try:
-        budget = BUDGET._replace(n=getattr(args, "max_wilson", BUDGET.n))
-        for unit, spent, limit in zip(Cost._fields, args.cost(args), budget):
-            if spent > limit:  # refused before the handler does any work
-                message = _REFUSALS[unit].format(command=args.command, spent=spent, limit=limit)
-                raise DomainError(message)
         with _unlimited_int_digits():
+            budget = BUDGET._replace(n=getattr(args, "max_wilson", BUDGET.n))
+            for unit, spent, limit in zip(Cost._fields, args.cost(args), budget):
+                if spent > limit:  # refused before the handler does any work
+                    raise DomainError(_REFUSALS[unit].format(
+                        command=args.command, spent=spent, limit=limit))
             code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -20,13 +20,15 @@ int coefficients, and so do the binomial weights.
 
 The alternating sum is also the n-th backward difference of X^n, which
 ``backward_difference`` realises operator-style for cross-checking.
+
+The routes return sums only; a caller compares them with the closed form,
+n! or 0, which it computes once however many points it checks.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
 
 from .exact import (
     POLY_ZERO,
@@ -34,14 +36,12 @@ from .exact import (
     Poly,
     binomial,
     binomial_row,
-    factorial,
     monomial,
     poly_axpy,
     poly_shift,
 )
 
 __all__ = [
-    "VerificationResult",
     "backward_difference",
     "difference_table",
     "eval_difference_sum",
@@ -49,21 +49,9 @@ __all__ = [
     "sample_rationals",
     "symbolic_difference_poly",
     "symbolic_lower_power_poly",
-    "verify_difference_sum",
-    "verify_lower_power_sum",
 ]
 
-
-class VerificationResult(NamedTuple):
-    """Record of one identity check; holds is true iff lhs == rhs exactly."""
-
-    check: str
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    j: int | None = None
-    x: Fraction | None = None
+SAMPLE_BOUND = 1000  # the largest |component| of a sample_rationals point
 
 
 def _require_n(n: int) -> None:
@@ -143,26 +131,6 @@ def backward_difference(p: Poly, order: int) -> Poly:
     return tuple(Fraction(c) for c in p)
 
 
-def verify_difference_sum(n: int, x: Fraction | int) -> VerificationResult:
-    """Check eval_difference_sum(n, x) == n! at one rational point."""
-    x = Fraction(x)
-    lhs = eval_difference_sum(n, x)
-    rhs = Fraction(factorial(n))
-    return VerificationResult(
-        check="difference-sum", n=n, x=x, lhs=lhs, rhs=rhs, holds=lhs == rhs
-    )
-
-
-def verify_lower_power_sum(n: int, j: int, x: Fraction | int) -> VerificationResult:
-    """Check eval_lower_power_sum(n, j, x) == 0 at one rational point."""
-    x = Fraction(x)
-    lhs = eval_lower_power_sum(n, j, x)
-    rhs = Fraction(0)
-    return VerificationResult(
-        check="lower-power-sum", n=n, j=j, x=x, lhs=lhs, rhs=rhs, holds=lhs == rhs
-    )
-
-
 def difference_table(degree: int, points: int) -> list[list[int]]:
     """Columns of the difference table of x**degree sampled at x = 0..points-1.
 
@@ -184,10 +152,11 @@ def difference_table(degree: int, points: int) -> list[list[int]]:
     return cols
 
 
-def sample_rationals(rng: random.Random, count: int, bound: int = 1000) -> list[Fraction]:
-    """count seeded random rationals with components within [-bound, bound].
+def sample_rationals(rng: random.Random, count: int) -> list[Fraction]:
+    """count seeded random rationals with components within SAMPLE_BOUND.
 
-    Numerators are drawn from [-bound, bound] and denominators from
-    [1, bound]; canonical reduction can only shrink the components.
+    Numerators are drawn from [-SAMPLE_BOUND, SAMPLE_BOUND] and denominators
+    from [1, SAMPLE_BOUND]; canonical reduction can only shrink the components.
     """
-    return [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(count)]
+    b = SAMPLE_BOUND
+    return [Fraction(rng.randint(-b, b), rng.randint(1, b)) for _ in range(count)]

@@ -44,10 +44,7 @@ _IDENTITY_VIOLATION_SNIPPET = """
 from fractions import Fraction
 from unittest import mock
 from diffwilson import cli
-from diffwilson.identity import VerificationResult
-fake = VerificationResult(check="difference-sum", n=3, x=Fraction(1),
-                          lhs=Fraction(0), rhs=Fraction(6), holds=False)
-with mock.patch.object(cli, "verify_difference_sum", lambda n, x: fake):
+with mock.patch.object(cli, "eval_difference_sum", lambda n, x: Fraction(0)):
     raise SystemExit(cli.main(["identity", "--n", "3", "--x", "1"]))
 """
 

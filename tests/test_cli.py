@@ -16,9 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from diffwilson import cli, modular
+from diffwilson import cli, identity, modular
 from diffwilson.exact import DomainError, parse_rational
-from diffwilson.identity import VerificationResult
 from diffwilson.modular import PrimalityVerdict
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -220,6 +219,21 @@ def test_congruence_eq1_computes_the_exact_sum_once(capsys, monkeypatch):
     assert payload["exact_lhs"] == payload["exact_expected"] == str(math.factorial(12))
 
 
+def test_identity_request_computes_the_closed_form_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return math.factorial(n)
+
+    for module in (cli, identity):
+        monkeypatch.setattr(module, "factorial", counted, raising=False)
+    assert cli.main(["identity", "--n", "6", "--trials", "10", "--seed", "1", "--json"]) == 0
+    assert calls == [6]
+    payload = json.loads(capsys.readouterr().out)
+    assert [row["rhs"] for row in payload["results"]] == ["720/1"] * 10
+
+
 # Results past CPython's 4300-digit int/str limit.
 
 
@@ -294,10 +308,7 @@ def test_closed_pipe_exits_141_without_traceback():
 
 
 def test_identity_violation_exits_1(capsys, monkeypatch):
-    fake = VerificationResult(
-        check="difference-sum", n=3, x=Fraction(1), lhs=Fraction(0), rhs=Fraction(6), holds=False
-    )
-    monkeypatch.setattr(cli, "verify_difference_sum", lambda n, x: fake)
+    monkeypatch.setattr(cli, "eval_difference_sum", lambda n, x: Fraction(0))
     assert cli.main(["identity", "--n", "3", "--x", "1"]) == 1
     out = capsys.readouterr().out
     assert "holds=false" in out
@@ -313,10 +324,7 @@ def test_identity_symbolic_violation_exits_1(capsys, monkeypatch):
 
 
 def test_lower_power_violation_exits_1(capsys, monkeypatch):
-    fake = VerificationResult(
-        check="lower-power-sum", n=3, j=1, x=Fraction(1), lhs=Fraction(5), rhs=Fraction(0), holds=False
-    )
-    monkeypatch.setattr(cli, "verify_lower_power_sum", lambda n, j, x: fake)
+    monkeypatch.setattr(cli, "eval_lower_power_sum", lambda n, j, x: Fraction(5))
     assert cli.main(["lower-power", "--n", "3", "--j", "1", "--x", "1"]) == 1
 
 
@@ -417,6 +425,10 @@ OVER_BUDGET = [
         (["lower-power", "--n", "3", "--j", "1", "--x", "2", "--trials", "4"], "--x is omitted"),
         # over budget, refused before any work starts
         *[(argv, "over the budget") for argv in OVER_BUDGET],
+        # a cost past the 4300-digit int/str limit is still quoted in the refusal
+        (["identity", "--n", "9" * 4300], "over the budget"),
+        (["lower-power", "--n", "9" * 4300, "--j", "1", "--x", "1"], "over the budget"),
+        (["difftable", "--degree", "1", "--points", "9" * 4300], "over the budget"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -455,7 +467,7 @@ def test_plain_value_error_escapes_main(monkeypatch):
     def broken(n, x):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "verify_difference_sum", broken)
+    monkeypatch.setattr(cli, "eval_difference_sum", broken)
     with pytest.raises(ValueError, match="internal fault") as excinfo:
         cli.main(["identity", "--n", "3", "--x", "1"])
     assert not isinstance(excinfo.value, DomainError)
@@ -488,8 +500,8 @@ def _never(*args):
 def test_over_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
     for name in (
         "sample_rationals",
-        "verify_difference_sum",
-        "verify_lower_power_sum",
+        "eval_difference_sum",
+        "eval_lower_power_sum",
         "symbolic_difference_poly",
         "symbolic_lower_power_poly",
         "difference_table",

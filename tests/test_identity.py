@@ -21,8 +21,6 @@ from diffwilson.identity import (
     sample_rationals,
     symbolic_difference_poly,
     symbolic_lower_power_poly,
-    verify_difference_sum,
-    verify_lower_power_sum,
 )
 
 rationals = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000))
@@ -170,18 +168,6 @@ def test_backward_difference_matches_expansion():
 def test_backward_difference_annihilates_lower_degree():
     for n in range(1, 16):
         assert backward_difference(monomial(n - 1), n) == POLY_ZERO
-
-
-def test_verify_difference_sum_result():
-    r = verify_difference_sum(3, 7)
-    assert r.check == "difference-sum"
-    assert (r.n, r.x, r.lhs, r.rhs, r.holds) == (3, 7, 6, 6, True)
-
-
-def test_verify_lower_power_sum_result():
-    r = verify_lower_power_sum(3, 1, 2)
-    assert r.check == "lower-power-sum"
-    assert (r.n, r.j, r.x, r.lhs, r.rhs, r.holds) == (3, 1, 2, 0, 0, True)
 
 
 @pytest.mark.parametrize("n,j", [(1, 1), (3, 1), (4, 4), (7, 3), (10, 5)])

@@ -1,10 +1,10 @@
 """The package root re-exports exactly the public names of its modules; the
 result records are immutable value tuples; the CLI starts without
-``dataclasses`` or ``inspect``."""
+``dataclasses`` or ``inspect``; no source line is wider than 94 columns."""
 
+import pathlib
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -24,12 +24,6 @@ def test_root_exports_every_module_name_once():
 
 
 RECORDS = [
-    (
-        identity.VerificationResult,
-        ("check", "n", "lhs", "rhs", "holds", "j", "x"),
-        ("lower-power-sum", 3, Fraction(0), Fraction(0), True, 1, Fraction(-3, 7)),
-        {"j": None, "x": None},
-    ),
     (modular.CongruenceEntry, ("index", "residue", "expected"), (2, 1, 1), {}),
     (
         modular.CongruenceReport,
@@ -73,3 +67,14 @@ def test_cli_import_adds_neither_dataclasses_nor_inspect():
     added = set(proc.stdout.split())
     assert "diffwilson.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_source_lines_fit_94_columns():
+    source = pathlib.Path(diffwilson.__file__).parent
+    wide = [
+        f"{path.name}:{number}"
+        for path in sorted(source.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 94
+    ]
+    assert wide == []
