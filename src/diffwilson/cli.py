@@ -21,8 +21,8 @@ Integers serialize as decimal strings and rationals as "num/den" strings,
 so values survive any JSON consumer losslessly.
 
 Each subcommand is one row of COMMANDS.  main prices a request with its
-row's cost function and refuses one over BUDGET (for the wilson rows,
---max-wilson) before the row's handler does any work.
+row's cost function and refuses one over BUDGET (whose n, for the wilson
+rows, is --max-wilson) before the row's handler does any work.
 
 Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
@@ -87,15 +87,16 @@ class Cost(NamedTuple):
 # The terms and bits budgets each admit about a second of work (in-process times of main,
 # 2-vCPU host, CPython 3.11.7): identity --n 3 --trials 100000 (6.0e5 terms) 2.4 s, identity
 # --n 400 --x 1 --symbolic (1.6e5) 0.48 s, congruence fermat 100003 (1.0e5) 0.52 s;
-# identity --n 3000 --x 1 (1.17e8 bits) 1.1 s, congruence eq1 3001 (1.17e8) 1.1 s.
+# identity --n 3000 --x 1 (1.17e8 bits) 1.1 s, congruence eq1 3001 (1.17e8) 1.1 s.  The
+# bits of a wilson-range cost more (see _sweep_cost).
 BUDGET = Cost(terms=150_000, bits=120_000_000, n=10**7)
 
 _REFUSALS = {
     "terms": "{command} needs {spent} exact terms, over the budget of {limit}",
     "bits": "{command} needs {spent} bits of exact terms, over the budget of {limit}",
-    "n": "n={spent} exceeds --max-wilson={limit}: wilson n costs n-2 modular multiplications,"
-    " and wilson-range lo hi one multiplication and one reduction per n on an integer of"
-    " about log2(hi!) bits (27 MB at hi = 10**7); raise the bound explicitly if you mean it",
+    "n": "n={spent} exceeds --max-wilson={limit}: wilson n costs n-2 modular multiplications"
+    " and wilson-range lo hi at most as many for n = hi, plus a remainder tree that the bits"
+    " budget bounds; raise the bound explicitly if you mean it",
 }
 
 
@@ -130,6 +131,21 @@ def _table_cost(args: argparse.Namespace) -> Cost:
     below_diagonal = degree * (degree + 1) // 2
     entries = (degree + 1) * points - below_diagonal if 0 <= degree < points else 0
     return Cost(terms=entries, bits=entries * degree * (points - 1).bit_length())
+
+
+def _sweep_cost(args: argparse.Namespace) -> Cost:
+    # The remainder tree over lo..hi has about log2(width) levels of at most B bits, B =
+    # width*log2(hi), and its top costs time quadratic in B: 2..200000 (6.5e7 bits) took
+    # 13 s and 2..330000 (1.2e8) 38 s.  The prefix, (lo-1)! mod the B-bit product of the
+    # range, takes time proportional to lo*B; a 4096th of that prices its bits as dear as
+    # the tree's: 4200000..4205000 (1.2e8 bits) took 36 s.  A range outside the domain
+    # costs next to nothing, and the library or the handler refuses it.
+    lo, hi = args.lo, args.hi
+    if not 2 <= lo <= hi:
+        return Cost(n=hi)
+    width = hi - lo + 1
+    size = width * hi.bit_length()
+    return Cost(bits=size * width.bit_length() + (lo - 2) * size // 4096, n=hi)
 
 
 def rational(text: str) -> Fraction:
@@ -212,36 +228,39 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     return _report(args, args.command, params, body, lines, holds)
 
 
-def _verdict(v: PrimalityVerdict) -> tuple[dict, str]:
-    """JSON fields and text line of one verdict, each value formatted once."""
-    n, residue = str(v.n), str(v.wilson_residue)
-    is_prime, agrees = v.is_prime, v.oracle_agrees
-    fields = {"n": n, "residue": residue, "is_prime": is_prime, "oracle_agrees": agrees}
-    line = f"n={n}: residue={residue} is_prime={_b(is_prime)} oracle_agrees={_b(agrees)}"
-    return fields, line
+def _verdict_line(v: PrimalityVerdict) -> str:
+    return (f"n={v.n}: residue={v.wilson_residue} is_prime={_b(v.is_prime)}"
+            f" oracle_agrees={_b(v.oracle_agrees)}")
+
+
+def _verdict_json(v: PrimalityVerdict) -> str:
+    # json.dumps of the wilson payload, written out: every value is a decimal string
+    # or a bool, so nothing needs escaping.
+    return (f'{{"schema_version": "{SCHEMA_VERSION}", "check": "wilson", "n": "{v.n}",'
+            f' "residue": "{v.wilson_residue}", "is_prime": {_b(v.is_prime)},'
+            f' "oracle_agrees": {_b(v.oracle_agrees)}}}')
 
 
 def _cmd_wilson(args: argparse.Namespace) -> int:
     v = wilson_test(args.n)
-    fields, line = _verdict(v)
-    params = {"n": fields["n"]}
-    return _report(args, "wilson", params, fields, [f"wilson {line}"], v.oracle_agrees)
+    n = str(v.n)
+    fields = {"n": n, "residue": str(v.wilson_residue), "is_prime": v.is_prime,
+              "oracle_agrees": v.oracle_agrees}
+    line = f"wilson {_verdict_line(v)}"
+    return _report(args, "wilson", {"n": n}, fields, [line], v.oracle_agrees)
 
 
 def _cmd_wilson_range(args: argparse.Namespace) -> int:
     lo, hi = args.lo, args.hi
     if hi < lo:
         raise DomainError(f"empty range: {lo}..{hi}")
+    render = _verdict_json if args.json else _verdict_line
     primes = 0
     all_agree = True
     for v in wilson_sweep(lo, hi):
         primes += v.is_prime
         all_agree = all_agree and v.oracle_agrees
-        fields, line = _verdict(v)
-        if args.json:
-            print(json.dumps({"schema_version": SCHEMA_VERSION, "check": "wilson", **fields}))
-        else:
-            print(line)
+        print(render(v))
     if not args.json:
         agree = "all" if all_agree else "MISMATCH"
         print(f"primes={primes} composites={hi - lo + 1 - primes} oracle_agrees={agree}")
@@ -320,7 +339,7 @@ COMMANDS = (
      lambda args: Cost(n=args.n), _arg("n", type=int, help="integer to test, n >= 2"),
      _MAX_WILSON),
     ("wilson-range", "stream factorial-residue verdicts for lo..hi", _cmd_wilson_range,
-     lambda args: Cost(n=args.hi), _arg("lo", type=int, help="first n (>= 2)"),
+     _sweep_cost, _arg("lo", type=int, help="first n (>= 2)"),
      _arg("hi", type=int, help="last n (inclusive)"), _MAX_WILSON),
     ("congruence", "per-index congruence report mod a prime", _cmd_congruence,
      _congruence_cost, _arg("kind", choices=sorted(_CONGRUENCE_KINDS),

@@ -13,6 +13,11 @@ every report's verdict from its entries and any exact values it carries.
 Results are immutable NamedTuples; ``mod_pow`` is the built-in ``pow``
 behind two refusals.  Trial division serves as the independent primality
 oracle throughout.
+
+``wilson_sweep`` gives the factorial residue of every n in a range from one
+accumulating remainder tree, and ``wilson_test`` is its one-element case.
+Big-integer division in CPython 3.11 is schoolbook, so the top of the tree
+costs time quadratic in the range's width; the sweep is not quasi-linear.
 """
 
 from __future__ import annotations
@@ -84,14 +89,31 @@ def mod_pow(base: int, exp: int, m: int) -> int:
     return pow(base, exp, m)
 
 
+# Below about 16 factors per block, multiplying a block first costs more than the
+# reductions it saves (timed at n = 10**5 and 10**6, CPython 3.11.7).
+_BLOCK_MIN = 16
+
+
 def factorial_mod(n: int, m: int) -> int:
-    """n! mod m, reducing after every multiplication; n! is never materialized."""
+    """n! mod m; n! is never materialized.
+
+    A modulus fewer than _BLOCK_MIN factors of n wide is reduced after every
+    multiplication.  A wider one, such as the product of a wilson_sweep
+    range, is reduced once per block of k = log2(m) / log2(n) consecutive
+    factors, multiplied together first, so the wide modulus divides n/k
+    products instead of n.
+    """
     _require_modulus(m)
     if n < 0:
         raise DomainError(f"factorial is undefined for negative n, got {n}")
     out = 1
-    for i in range(2, n + 1):
-        out = out * i % m
+    k = m.bit_length() // max(n, 1).bit_length()
+    if k < _BLOCK_MIN:
+        for i in range(2, n + 1):
+            out = out * i % m
+        return out
+    for i in range(2, n + 1, k):
+        out = out * prod(range(i, min(i + k, n + 1))) % m
     return out
 
 
@@ -113,13 +135,23 @@ def trial_division(n: int) -> bool:
 def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
     """Wilson verdicts for every n in lo..hi, in ascending order.
 
-    One running product serves the whole range: f starts as (lo-1)! mod M,
-    with M the product of lo..hi, and is multiplied by n after each step.
-    Every n divides M, so f mod n is (n-1)! mod n for each n in turn; no n
-    is skipped, prime or composite, and trial division checks every one.
-    Costs lo-2 multiplications mod M, then one multiplication and one
-    reduction per n on an integer of about log2(hi!) bits.  A range that
-    starts at 2 has an empty prefix, so M is never formed.
+    An accumulating remainder tree (Costa, Gerbicz and Harvey, "A search for
+    Wilson primes", Math. Comp. 83 (2014)) serves the whole range.  One
+    product tree over lo..hi holds both the values and the moduli.  Walked
+    top-down from f = (lo-1)! mod prod(lo..hi), a node over a..b receives
+    (a-1)! mod prod(a..b): its left child f % prod(left) and its right child
+    f * prod(left) % prod(right), so each leaf n receives (n-1)! mod n.  No
+    n is skipped, prime or composite, and trial division checks every one.
+    The walk is depth-first with an explicit stack, and a right child is
+    computed when it is popped, so verdicts stream in ascending order and
+    the first does not wait for the large reductions at the top.
+
+    Costs factorial_mod(lo-1, prod(lo..hi)) first, lo-2 multiplications
+    (none when lo = 2).  The tree has about log2(hi-lo+1) levels of about
+    log2(hi!/(lo-1)!) bits each, and the walk reduces each level once.
+    CPython 3.11 divides big integers by schoolbook, so the reductions at
+    the top of the tree, and a sweep from 2, still take time quadratic in
+    the width of the range: 2..10**4 took 0.06 s, 2..5*10**4 1.0 s.
     """
     if lo < 2:
         raise DomainError(
@@ -127,17 +159,30 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
         )
     if hi < lo:
         return
-    f = 1 if lo == 2 else factorial_mod(lo - 1, prod(range(lo, hi + 1)))
-    for n in range(lo, hi + 1):
-        residue = f % n
-        is_prime = residue == n - 1
+    levels = [list(range(lo, hi + 1))]  # the leaves, then pairwise products up to the root
+    while len(levels[-1]) > 1:
+        row = levels[-1]
+        levels.append([prod(row[i:i + 2]) for i in range(0, len(row), 2)])
+    f = 1 if lo == 2 else factorial_mod(lo - 1, levels[-1][0])
+    stack = [(len(levels) - 1, 0, f, None)]
+    while stack:
+        depth, i, f, left = stack.pop()
+        if left is not None:  # a right child, due now
+            f = f * left % levels[depth][i]
+        if depth:
+            below, j = levels[depth - 1], 2 * i
+            if j + 1 < len(below):
+                stack.append((depth - 1, j + 1, f, below[j]))
+            stack.append((depth - 1, j, f % below[j], None))
+            continue
+        n = lo + i
+        is_prime = f == n - 1
         yield PrimalityVerdict(
             n=n,
-            wilson_residue=residue,
+            wilson_residue=f,
             is_prime=is_prime,
             oracle_agrees=is_prime == trial_division(n),
         )
-        f *= n
 
 
 def wilson_test(n: int) -> PrimalityVerdict:

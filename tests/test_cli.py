@@ -394,6 +394,12 @@ OVER_BUDGET = [
     ["identity", "--n", "3000", "--x", "1", "--symbolic"],
     ["identity", "--n", "-1", "--trials", "200000", "--seed", "1"],
 ]
+# A wide remainder tree, and a prefix (lo-1)! reduced modulo a wide product.
+OVER_BUDGET_SWEEPS = [
+    ["wilson-range", "2", "10000000"],
+    ["wilson-range", "2", "400000"],
+    ["wilson-range", "9000000", "9100000"],
+]
 
 
 @pytest.mark.parametrize(
@@ -429,6 +435,10 @@ OVER_BUDGET = [
         (["identity", "--n", "9" * 4300], "over the budget"),
         (["lower-power", "--n", "9" * 4300, "--j", "1", "--x", "1"], "over the budget"),
         (["difftable", "--degree", "1", "--points", "9" * 4300], "over the budget"),
+        *[(argv, "over the budget") for argv in OVER_BUDGET_SWEEPS],
+        # a range outside the domain is refused as before, whatever its width
+        (["wilson-range", "1", "10000000"], "start at 2"),
+        (["wilson-range", "10000000", "2"], "empty range"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -490,13 +500,16 @@ def test_default_wilson_bound_is_enforced(capsys):
     assert "max-wilson" in capsys.readouterr().err
     assert cli.main(["wilson-range", "2", "10000001"]) == 2
     capsys.readouterr()
+    assert cli.main(["wilson-range", "10000001", "10000001"]) == 2
+    assert "max-wilson" in capsys.readouterr().err
 
 
 def _never(*args):
     raise AssertionError("work started on a request over budget")
 
 
-@pytest.mark.parametrize("argv", OVER_BUDGET, ids=[" ".join(a) for a in OVER_BUDGET])
+@pytest.mark.parametrize("argv", OVER_BUDGET + OVER_BUDGET_SWEEPS,
+                         ids=[" ".join(a) for a in OVER_BUDGET + OVER_BUDGET_SWEEPS])
 def test_over_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
     for name in (
         "sample_rationals",
@@ -529,6 +542,8 @@ ADMITTED = [
     ["difftable", "--degree", "100", "--points", "1000", "--json"],
     ["wilson-range", "2", "10050", "--json"],
     ["wilson-range", "2", "200000"],
+    ["wilson-range", "999000", "1000000"],
+    ["wilson-range", "10000000", "10000000"],  # a one-n range costs what wilson n does
     ["wilson", "1000000"],
 ]
 

@@ -2,9 +2,10 @@
 the independent primality reference, and the congruence chain reports."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diffwilson.exact import DomainError, factorial
@@ -35,7 +36,7 @@ def sieve(limit):
     return flags
 
 
-PRIME = sieve(2000)
+PRIME = sieve(50000)
 ODD_PRIMES_SMALL = [p for p in range(3, 62) if PRIME[p]]
 
 
@@ -69,6 +70,25 @@ def test_factorial_mod_matches_exact():
     for m in (2, 7, 10, 97, 1000):
         for n in range(31):
             assert factorial_mod(n, m) == math.factorial(n) % m
+
+
+# A modulus many factors wide is reduced once per block of factors.
+@given(st.integers(0, 3000), st.integers(2, 3000), st.integers(1, 400))
+@example(0, 2, 400)
+@example(1, 5, 16)
+@example(3000, 2, 1)
+def test_factorial_mod_matches_exact_for_wide_moduli(n, lo, width):
+    m = math.prod(range(lo, lo + width))
+    assert factorial_mod(n, m) == math.factorial(n) % m
+
+
+def test_factorial_mod_keeps_one_reduction_per_factor_for_a_narrow_modulus(monkeypatch):
+    def no_blocks(values):
+        raise AssertionError("a one-factor modulus was reduced in blocks")
+
+    monkeypatch.setattr(modular, "prod", no_blocks)
+    assert factorial_mod(939855, 939856) == 0
+    assert factorial_mod(1008, 1009) == 1008
 
 
 def test_factorial_mod_rejects_bad_arguments():
@@ -190,6 +210,62 @@ def test_wilson_sweep_empty_range_and_bad_start():
     assert list(wilson_sweep(7, 6)) == []
     with pytest.raises(DomainError, match="n >= 2"):
         next(wilson_sweep(1, 5))
+
+
+def _running_product_sweep(lo, hi):
+    """Reference sweep: one running product over lo..hi, reduced once per n."""
+    f = math.factorial(lo - 1) % math.prod(range(lo, hi + 1))
+    for n in range(lo, hi + 1):
+        residue = f % n
+        yield (n, residue, residue == n - 1, (residue == n - 1) == PRIME[n])
+        f *= n
+
+
+_POWER_OF_TWO_WIDTHS = [2**k + d for k in range(10) for d in (-1, 0, 1) if 2**k + d > 0]
+
+
+@given(
+    st.one_of(st.just(2), st.integers(2, 3000)),
+    st.one_of(st.integers(1, 300), st.sampled_from(_POWER_OF_TWO_WIDTHS)),
+)
+@example(2, 1)
+@example(7, 1)
+@example(2, 512)
+@example(2, 513)
+@example(1000, 511)
+def test_wilson_sweep_matches_running_product(lo, width):
+    hi = lo + width - 1
+    assert [tuple(v) for v in wilson_sweep(lo, hi)] == list(_running_product_sweep(lo, hi))
+
+
+def test_wilson_sweep_sample_matches_per_n_factorial_mod():
+    by_n = {v.n: v for v in wilson_sweep(2, 50000)}
+    assert sorted(by_n) == list(range(2, 50001))
+    for n in random.Random(2014).sample(range(2, 50001), 64):
+        v = by_n[n]
+        assert v.wilson_residue == factorial_mod(n - 1, n)
+        assert v.is_prime == PRIME[n]
+        assert v.oracle_agrees
+
+
+def test_wilson_sweep_yields_before_the_top_right_reduction(monkeypatch):
+    # Every product in the tree comes from modular.prod; record each reduction by one.
+    reductions = []
+
+    class Product(int):
+        def __rmod__(self, dividend):
+            reductions.append((dividend, int(self)))
+            return dividend % int(self)
+
+    monkeypatch.setattr(modular, "prod", lambda values: Product(math.prod(values)))
+    sweep = wilson_sweep(2, 4097)
+    assert next(sweep) == (2, 1, True, True)
+    # Only the left spine has been reduced, each time from 1! = 1.
+    assert reductions and all(dividend == 1 for dividend, _ in reductions)
+    before = len(reductions)
+    assert [tuple(v) for v in sweep] == list(_running_product_sweep(2, 4097))[1:]
+    half = math.prod(range(2, 4098)).bit_length() // 2
+    assert max(m.bit_length() for _, m in reductions[before:]) >= half - 64
 
 
 def test_binomial_row_mod_example():
