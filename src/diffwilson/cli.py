@@ -42,7 +42,7 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import (
     DomainError,
@@ -88,7 +88,7 @@ class Cost(NamedTuple):
 # 2-vCPU host, CPython 3.11.7): identity --n 3 --trials 100000 (6.0e5 terms) 2.4 s, identity
 # --n 400 --x 1 --symbolic (1.6e5) 0.48 s, congruence fermat 100003 (1.0e5) 0.52 s;
 # identity --n 3000 --x 1 (1.17e8 bits) 1.1 s, congruence eq1 3001 (1.17e8) 1.1 s.  The
-# bits of a wilson-range cost more (see _sweep_cost).
+# bits of a wilson-range cost more (see _range_cost).
 BUDGET = Cost(terms=150_000, bits=120_000_000, n=10**7)
 
 _REFUSALS = {
@@ -133,16 +133,15 @@ def _table_cost(args: argparse.Namespace) -> Cost:
     return Cost(terms=entries, bits=entries * degree * (points - 1).bit_length())
 
 
-def _sweep_cost(args: argparse.Namespace) -> Cost:
+def _range_cost(lo: int, hi: int) -> Cost:
     # The remainder tree over lo..hi has about log2(width) levels of at most B bits, B =
     # width*log2(hi), and its top costs time quadratic in B: 2..200000 (6.5e7 bits) took
     # 13 s and 2..330000 (1.2e8) 38 s.  The prefix, (lo-1)! mod the B-bit product of the
     # range, takes time proportional to lo*B; a 4096th of that prices its bits as dear as
-    # the tree's: 4200000..4205000 (1.2e8 bits) took 36 s.  A range outside the domain
-    # costs next to nothing, and the library or the handler refuses it.
-    lo, hi = args.lo, args.hi
+    # the tree's: 4200000..4205000 (1.2e8 bits) took 36 s.  wilson n is the range n..n.  A
+    # range outside the domain costs nothing at any width: library or handler refuses it.
     if not 2 <= lo <= hi:
-        return Cost(n=hi)
+        return Cost()
     width = hi - lo + 1
     size = width * hi.bit_length()
     return Cost(bits=size * width.bit_length() + (lo - 2) * size // 4096, n=hi)
@@ -157,21 +156,17 @@ def _b(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _report(
-    args: argparse.Namespace,
-    check: str,
-    params: dict,
-    body: dict,
-    lines: list[str],
-    holds: bool,
-) -> int:
-    """Print one single-result report, JSON or text, and return its exit code."""
+def _report(args: argparse.Namespace, check: str, params: dict, body: dict,
+            lines: Iterable[str], holds: bool) -> int:
+    """Print one single-result report and return its exit code.  body is its only record,
+    printed as JSON; lines, a lazy view of it, is read only for text, one line at a time."""
     status = "holds" if holds else "violated"
     if args.json:
         payload = {"schema_version": SCHEMA_VERSION, "check": check, "params": params}
         print(json.dumps({**payload, **body, "holds": holds, "status": status}))
     else:
-        print(*lines, f"status: {status}", sep="\n")
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        print(f"status: {status}")
     return 0 if holds else 1
 
 
@@ -203,29 +198,29 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         sums = [eval_lower_power_sum(n, j, x) for x in points]
         poly = symbolic_lower_power_poly(n, j) if args.symbolic else None
         closed = Fraction(0)
-    header = " ".join([args.command] + [f"{k}={v}" for k, v in params.items()])
     rhs = format_rational(closed)
-    rows = [(format_rational(x), format_rational(v), v == closed)
-            for x, v in zip(points, sums)]
-    if args.x is not None:  # after the header, which shows x on its row only
-        params["x"] = rows[0][0]
-    body: dict = {
-        "results": [{"x": x, "lhs": lhs, "rhs": rhs, "holds": ok} for x, lhs, ok in rows]
-    }
-    if len(rows) == 1:
-        body["lhs"] = rows[0][1]
+    results = [{"x": format_rational(x), "lhs": format_rational(v), "rhs": rhs,
+                "holds": v == closed} for x, v in zip(points, sums)]
+    if args.x is not None:
+        params["x"] = results[0]["x"]
+    body: dict = {"results": results}
+    if len(results) == 1:
+        body["lhs"] = results[0]["lhs"]
     body["rhs"] = rhs
-    lines = [header]
-    lines += [f"x={x}: lhs={lhs} rhs={rhs} holds={_b(ok)}" for x, lhs, ok in rows]
-    holds = all(ok for _, _, ok in rows)
+    holds = all(r["holds"] for r in results)
     if poly is not None:
-        coefficients = format_poly(poly)
         sym_holds = poly == poly_const(closed)  # must collapse to the closed form
-        body["symbolic"] = {"coefficients": coefficients, "holds": sym_holds}
-        joined = ", ".join(coefficients)
-        lines.append(f"symbolic: coefficients=[{joined}] holds={_b(sym_holds)}")
+        body["symbolic"] = {"coefficients": format_poly(poly), "holds": sym_holds}
         holds = holds and sym_holds
-    return _report(args, args.command, params, body, lines, holds)
+
+    def lines() -> Iterator[str]:
+        yield " ".join([args.command] + [f"{k}={v}" for k, v in params.items() if k != "x"])
+        for r in results:
+            yield f"x={r['x']}: lhs={r['lhs']} rhs={rhs} holds={_b(r['holds'])}"
+        if poly is not None:
+            joined = ", ".join(body["symbolic"]["coefficients"])
+            yield f"symbolic: coefficients=[{joined}] holds={_b(sym_holds)}"
+    return _report(args, args.command, params, body, lines(), holds)
 
 
 def _verdict_line(v: PrimalityVerdict) -> str:
@@ -280,19 +275,22 @@ def _cmd_congruence(args: argparse.Namespace) -> int:
     report = _CONGRUENCE_KINDS[args.kind](args.p)
     p, modulus = str(args.p), str(report.modulus)
     body: dict = {"modulus": modulus}
-    lines = [f"congruence {args.kind} p={p} modulus={modulus}"]
     if report.exact_lhs is not None:
-        lhs, expected = str(report.exact_lhs), str(report.exact_expected)
-        equal = report.exact_lhs == report.exact_expected
-        body.update(exact_lhs=lhs, exact_expected=expected, exact_equal=equal)
-        lines.append(f"exact: lhs={lhs} expected={expected} equal={_b(equal)}")
-    body["entries"] = []
-    for e in report.entries:
-        i, residue, expected = str(e.index), str(e.residue), str(e.expected)
-        body["entries"].append({"index": i, "residue": residue, "expected": expected})
-        lines.append(f"i={i}: residue={residue} expected={expected}")
+        lhs, expected = report.exact_lhs, report.exact_expected
+        body.update(exact_lhs=str(lhs), exact_expected=str(expected),
+                    exact_equal=lhs == expected)
+    body["entries"] = [{"index": str(e.index), "residue": str(e.residue),
+                        "expected": str(e.expected)} for e in report.entries]
     params = {"kind": args.kind, "p": p}
-    return _report(args, f"congruence-{args.kind}", params, body, lines, report.holds)
+
+    def lines() -> Iterator[str]:
+        yield f"congruence {args.kind} p={p} modulus={modulus}"
+        if "exact_equal" in body:
+            yield (f"exact: lhs={body['exact_lhs']} expected={body['exact_expected']}"
+                   f" equal={_b(body['exact_equal'])}")
+        for e in body["entries"]:
+            yield "i={index}: residue={residue} expected={expected}".format(**e)
+    return _report(args, f"congruence-{args.kind}", params, body, lines(), report.holds)
 
 
 def _cmd_difftable(args: argparse.Namespace) -> int:
@@ -303,12 +301,13 @@ def _cmd_difftable(args: argparse.Namespace) -> int:
     columns = [[str(v) for v in col] for col in cols]
     d, pts, constant = str(degree), str(points), str(expected)
     body = {"columns": columns, "constant_column": d, "constant_value": constant}
-    lines = [f"difftable degree={d} points={pts}"]
-    for x in range(points):
-        row = " ".join(columns[m][x - m] for m in range(min(x, degree) + 1))
-        lines.append(f"x={x}: {row}")
-    lines.append(f"column {d}: expected={constant} holds={_b(holds)}")
-    return _report(args, "difftable", {"degree": d, "points": pts}, body, lines, holds)
+
+    def lines() -> Iterator[str]:
+        yield f"difftable degree={d} points={pts}"
+        for x in range(points):
+            yield f"x={x}: " + " ".join(columns[m][x - m] for m in range(min(x, degree) + 1))
+        yield f"column {d}: expected={constant} holds={_b(holds)}"
+    return _report(args, "difftable", {"degree": d, "points": pts}, body, lines(), holds)
 
 
 def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
@@ -336,10 +335,10 @@ COMMANDS = (
      _arg("--n", type=int, required=True, help="sum order (positive)"),
      _arg("--j", type=int, required=True, help="exponent drop, 1 <= j <= n"), *_POINTS),
     ("wilson", "factorial-residue primality verdict for one n", _cmd_wilson,
-     lambda args: Cost(n=args.n), _arg("n", type=int, help="integer to test, n >= 2"),
-     _MAX_WILSON),
+     lambda args: _range_cost(args.n, args.n),
+     _arg("n", type=int, help="integer to test, n >= 2"), _MAX_WILSON),
     ("wilson-range", "stream factorial-residue verdicts for lo..hi", _cmd_wilson_range,
-     _sweep_cost, _arg("lo", type=int, help="first n (>= 2)"),
+     lambda args: _range_cost(args.lo, args.hi), _arg("lo", type=int, help="first n (>= 2)"),
      _arg("hi", type=int, help="last n (inclusive)"), _MAX_WILSON),
     ("congruence", "per-index congruence report mod a prime", _cmd_congruence,
      _congruence_cost, _arg("kind", choices=sorted(_CONGRUENCE_KINDS),

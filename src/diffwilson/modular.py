@@ -15,9 +15,9 @@ behind two refusals.  Trial division serves as the independent primality
 oracle throughout.
 
 ``wilson_sweep`` gives the factorial residue of every n in a range from one
-accumulating remainder tree, and ``wilson_test`` is its one-element case.
-Big-integer division in CPython 3.11 is schoolbook, so the top of the tree
-costs time quadratic in the range's width; the sweep is not quasi-linear.
+accumulating remainder tree, walked depth first by recursion; ``wilson_test``
+is its one-element case.  CPython 3.11 divides big integers by schoolbook, so
+the top of the tree costs time quadratic in the range's width, not quasi-linear.
 """
 
 from __future__ import annotations
@@ -132,6 +132,17 @@ def trial_division(n: int) -> bool:
     return smallest_divisor(n) is None
 
 
+def _descend(levels: list, depth: int, i: int, f: int) -> Iterator[int]:
+    """Left to right, the residues at the leaves below node i of levels[depth], given f."""
+    if not depth:
+        yield f
+        return
+    below, j = levels[depth - 1], 2 * i
+    yield from _descend(levels, depth - 1, j, f % below[j])
+    if j + 1 < len(below):  # computed only once the left subtree is exhausted
+        yield from _descend(levels, depth - 1, j + 1, f * below[j] % below[j + 1])
+
+
 def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
     """Wilson verdicts for every n in lo..hi, in ascending order.
 
@@ -142,9 +153,10 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
     (a-1)! mod prod(a..b): its left child f % prod(left) and its right child
     f * prod(left) % prod(right), so each leaf n receives (n-1)! mod n.  No
     n is skipped, prime or composite, and trial division checks every one.
-    The walk is depth-first with an explicit stack, and a right child is
-    computed when it is popped, so verdicts stream in ascending order and
-    the first does not wait for the large reductions at the top.
+    The walk recurses depth-first, left subtree before right, and computes a
+    right child only once the left subtree is exhausted, so verdicts stream
+    in ascending order and the first does not wait for the large reductions
+    at the top.
 
     Costs factorial_mod(lo-1, prod(lo..hi)) first, lo-2 multiplications
     (none when lo = 2).  The tree has about log2(hi-lo+1) levels of about
@@ -164,18 +176,7 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
         row = levels[-1]
         levels.append([prod(row[i:i + 2]) for i in range(0, len(row), 2)])
     f = 1 if lo == 2 else factorial_mod(lo - 1, levels[-1][0])
-    stack = [(len(levels) - 1, 0, f, None)]
-    while stack:
-        depth, i, f, left = stack.pop()
-        if left is not None:  # a right child, due now
-            f = f * left % levels[depth][i]
-        if depth:
-            below, j = levels[depth - 1], 2 * i
-            if j + 1 < len(below):
-                stack.append((depth - 1, j + 1, f, below[j]))
-            stack.append((depth - 1, j, f % below[j], None))
-            continue
-        n = lo + i
+    for n, f in enumerate(_descend(levels, len(levels) - 1, 0, f), lo):
         is_prime = f == n - 1
         yield PrimalityVerdict(
             n=n,

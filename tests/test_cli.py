@@ -86,6 +86,28 @@ def test_text_and_json_agree_on_points(capsys):
     assert xs_text == ["x=" + r["x"] for r in payload["results"]]
 
 
+JSON_ONLY = [
+    ["identity", "--n", "4", "--x", "2", "--symbolic"],
+    ["lower-power", "--n", "4", "--j", "2", "--trials", "3", "--seed", "1", "--symbolic"],
+    ["congruence", "eq1", "13"],
+    ["difftable", "--degree", "3", "--points", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_ONLY, ids=[" ".join(a) for a in JSON_ONLY])
+def test_json_mode_formats_no_text_line(capsys, monkeypatch, argv):
+    # The text report is a lazy view of the JSON body, so --json formats none of its lines.
+    assert cli.main(argv + ["--json"]) == 0
+    expected = capsys.readouterr().out
+
+    def no_text(value):
+        raise AssertionError("a text line was formatted in JSON mode")
+
+    monkeypatch.setattr(cli, "_b", no_text)
+    assert cli.main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize(
     "argv,row",
     [
@@ -439,6 +461,10 @@ OVER_BUDGET_SWEEPS = [
         # a range outside the domain is refused as before, whatever its width
         (["wilson-range", "1", "10000000"], "start at 2"),
         (["wilson-range", "10000000", "2"], "empty range"),
+        (["wilson-range", "1", "20000000"], "start at 2"),
+        (["wilson-range", "20000000", "19999999"], "empty range"),
+        (["wilson-range", "0", "10000001"], "start at 2"),
+        (["wilson", "1", "--max-wilson", "0"], "at least 2"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
