@@ -18,9 +18,6 @@ C(n,i) (a - i*b)^m / b^m, so the numerators are summed as ints and the sum
 is divided by b^m once.  Symbolically, X^m shifted by an integer -i has
 int coefficients, and so do the binomial weights.
 
-The alternating sum is also the n-th backward difference of X^n, which
-``backward_difference`` realises operator-style for cross-checking.
-
 The routes return sums only; a caller compares them with the closed form,
 n! or 0, which it computes once however many points it checks.
 """
@@ -42,7 +39,6 @@ from .exact import (
 )
 
 __all__ = [
-    "backward_difference",
     "difference_table",
     "eval_difference_sum",
     "eval_lower_power_sum",
@@ -117,18 +113,6 @@ def symbolic_lower_power_poly(n: int, j: int) -> Poly:
     """Symbolic expansion with exponent n - j; must be the zero polynomial."""
     _require_j(n, j)
     return _alternating_expansion(n, n - j)
-
-
-def backward_difference(p: Poly, order: int) -> Poly:
-    """order-fold backward difference, where (del p)(X) = p(X) - p(X-1).
-
-    Runs in the ring of p's coefficients; the result has Fraction coefficients.
-    """
-    if order < 0:
-        raise DomainError(f"order must be non-negative, got {order}")
-    for _ in range(order):
-        p = poly_axpy(-1, poly_shift(p, -1), p)
-    return tuple(Fraction(c) for c in p)
 
 
 def difference_table(degree: int, points: int) -> list[list[int]]:

@@ -1,11 +1,11 @@
 """Congruences mod a prime and the Wilson factorial primality test.
 
-The chain verified here connects the alternating difference sum to
-primality: at x = 0 the sum is an exact integer identity; reducing it mod
-an odd prime p turns the binomial weights into an alternating +-1 pattern,
-the even power kills the inner signs, and each nonzero base contributes 1
-by the Fermat residue, leaving (p-1)! = p-1 (mod p).  Each link in that
-chain is a separately checkable report.
+The chain verified here connects the alternating difference sum to primality: at x = 0
+the sum is an exact integer identity, computed by the identity module's pointwise route;
+reducing it mod an odd prime p turns the binomial weights into an alternating +-1
+pattern, the even power kills the inner signs, and each nonzero base contributes 1 by
+the Fermat residue, leaving (p-1)! = p-1 (mod p).  Each link in that chain is a
+separately checkable report.
 
 Residues are always normalized to [0, m), so every congruence check is a
 plain equality of canonical representatives, and ``_congruence`` derives
@@ -16,7 +16,7 @@ oracle throughout.
 
 ``wilson_sweep`` gives the factorial residue of every n in a range from one
 accumulating remainder tree, walked depth first by recursion; ``wilson_test``
-is its one-element case.  CPython 3.11 divides big integers by schoolbook, so
+is its one-element case.  CPython 3.11 to 3.13 divides big integers by schoolbook, so
 the top of the tree costs time quadratic in the range's width, not quasi-linear.
 """
 
@@ -26,6 +26,7 @@ from math import isqrt, prod
 from typing import Iterator, NamedTuple
 
 from .exact import DomainError, binomial_row, factorial
+from .identity import eval_difference_sum
 
 __all__ = [
     "CongruenceEntry",
@@ -52,14 +53,13 @@ class CongruenceEntry(NamedTuple):
 
 
 class CongruenceReport(NamedTuple):
-    """One modular check; holds iff residue == expected for every entry.
+    """One unnamed modular check; holds iff residue == expected for every entry.
 
     A check that first compares exact integers before reducing them (the
     identity at x = 0) also carries those two values, and holds only if
     they are equal as well.
     """
 
-    check: str
     modulus: int
     entries: tuple[CongruenceEntry, ...]
     holds: bool
@@ -161,8 +161,8 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
     Costs factorial_mod(lo-1, prod(lo..hi)) first, lo-2 multiplications
     (none when lo = 2).  The tree has about log2(hi-lo+1) levels of about
     log2(hi!/(lo-1)!) bits each, and the walk reduces each level once.
-    CPython 3.11 divides big integers by schoolbook, so the reductions at
-    the top of the tree, and a sweep from 2, still take time quadratic in
+    CPython 3.11 to 3.13 divides big integers by schoolbook, so the reductions
+    at the top of the tree, and a sweep from 2, still take time quadratic in
     the width of the range: 2..10**4 took 0.06 s, 2..5*10**4 1.0 s.
     """
     if lo < 2:
@@ -209,12 +209,11 @@ def _require_odd_prime(p: int) -> None:
     _require_prime(p)
 
 
-def _congruence(check: str, p: int, entries: tuple, **exact: int) -> CongruenceReport:
-    """The report on entries mod p: it holds iff every residue equals its expected
-    value and the exact values, where given, are equal."""
+def _congruence(p: int, entries: tuple, **exact: int) -> CongruenceReport:
+    """Holds iff every residue equals its expected value and any exact values are equal."""
     holds = all(e.residue == e.expected for e in entries)
     holds = holds and exact.get("exact_lhs") == exact.get("exact_expected")
-    return CongruenceReport(check, p, entries, holds, **exact)
+    return CongruenceReport(p, entries, holds, **exact)
 
 
 def binomial_row_mod(p: int) -> CongruenceReport:
@@ -228,14 +227,14 @@ def binomial_row_mod(p: int) -> CongruenceReport:
         CongruenceEntry(i, b % p, 1 if i % 2 == 0 else p - 1)
         for i, b in enumerate(binomial_row(p - 1))
     )
-    return _congruence("binomial-row", p, entries)
+    return _congruence(p, entries)
 
 
 def fermat_check(p: int) -> CongruenceReport:
     """Residues i**(p-1) mod p for 1 <= i <= p-1; all must be 1."""
     _require_prime(p)
     entries = tuple(CongruenceEntry(i, mod_pow(i, p - 1, p), 1) for i in range(1, p))
-    return _congruence("fermat", p, entries)
+    return _congruence(p, entries)
 
 
 def power_sum_mod(p: int) -> CongruenceReport:
@@ -248,24 +247,19 @@ def power_sum_mod(p: int) -> CongruenceReport:
     for i in range(p):
         total = (total + mod_pow(i, p - 1, p)) % p
     entries = (CongruenceEntry(p - 1, total, factorial_mod(p - 1, p)),)
-    return _congruence("power-sum", p, entries)
+    return _congruence(p, entries)
 
 
 def alternating_power_sum_at_zero(p: int) -> int:
     """Exact integer value of sum_{i=0}^{p-1} (-1)^i C(p-1, i) (-i)**(p-1).
 
-    This is the difference-sum identity instantiated at x = 0 with n = p-1,
-    so the value equals (p-1)!.  Each (-i)**(p-1) is computed literally
-    (negate, then power); the even-exponent rewrite to i**(p-1) is a claim
-    the test suite checks, not an assumption baked in here.
+    This is the difference-sum identity instantiated at x = 0 with n = p-1, so the
+    value equals (p-1)!: eval_difference_sum(p - 1, 0), whose term (0 - i*1)**(p-1)
+    computes each (-i)**(p-1) literally.  The even-exponent rewrite to i**(p-1) is a
+    claim the test suite checks, not an assumption baked in here.
     """
     _require_odd_prime(p)
-    row = binomial_row(p - 1)
-    total = 0
-    for i in range(p):
-        term = row[i] * (-i) ** (p - 1)
-        total = total + term if i % 2 == 0 else total - term
-    return total
+    return eval_difference_sum(p - 1, 0).numerator
 
 
 def identity_at_zero_mod(p: int) -> CongruenceReport:
@@ -279,4 +273,4 @@ def identity_at_zero_mod(p: int) -> CongruenceReport:
     lhs = alternating_power_sum_at_zero(p)
     expected = factorial(p - 1)
     entries = (CongruenceEntry(0, lhs % p, factorial_mod(p - 1, p)),)
-    return _congruence("identity-at-zero", p, entries, exact_lhs=lhs, exact_expected=expected)
+    return _congruence(p, entries, exact_lhs=lhs, exact_expected=expected)

@@ -4,12 +4,14 @@ The package's symbolic route needs only shifts and scaled sums; these
 helpers (construction, convolution, Horner evaluation, the formal
 derivative) exist so the tests can state ring laws and build independent
 expansions to compare against.  ``derivative_collapse_check`` uses them to
-cross-check the two symbolic routes by differentiation.
+cross-check the two symbolic routes by differentiation, and
+``backward_difference`` gives the operator-side view of the alternating sum:
+its n-fold application to X^n must equal the symbolic expansion.
 """
 
 from fractions import Fraction
 
-from diffwilson.exact import POLY_ZERO, poly_axpy
+from diffwilson.exact import POLY_ZERO, DomainError, poly_axpy, poly_shift
 from diffwilson.identity import symbolic_difference_poly, symbolic_lower_power_poly
 
 POLY_ONE = (1,)
@@ -67,6 +69,18 @@ def poly_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def backward_difference(p, order):
+    """order-fold backward difference, where (del p)(X) = p(X) - p(X-1).
+
+    Runs in the ring of p's coefficients; the result has Fraction coefficients.
+    """
+    if order < 0:
+        raise DomainError(f"order must be non-negative, got {order}")
+    for _ in range(order):
+        p = poly_axpy(-1, poly_shift(p, -1), p)
+    return tuple(Fraction(c) for c in p)
 
 
 def derivative_collapse_check(n, j):

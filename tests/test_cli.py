@@ -6,15 +6,18 @@ cannot produce, so those paths are driven by monkeypatched verifiers.
 """
 
 import argparse
+import io
 import json
 import math
 import pathlib
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffwilson import cli, identity, modular
 from diffwilson.exact import DomainError, parse_rational
@@ -366,7 +369,6 @@ def test_congruence_violation_exits_1(capsys, monkeypatch):
     from diffwilson.modular import CongruenceEntry, CongruenceReport
 
     broken = CongruenceReport(
-        check="binomial-row",
         modulus=5,
         entries=(CongruenceEntry(0, 2, 1),),
         holds=False,
@@ -381,17 +383,25 @@ def test_congruence_violation_exits_1(capsys, monkeypatch):
 
 
 def test_congruence_eq1_broken_exact_sum_exits_1(capsys, monkeypatch):
-    # The lie keeps the residue mod p, so only the exact comparison sees it.
-    real = modular.alternating_power_sum_at_zero
-    monkeypatch.setattr(modular, "alternating_power_sum_at_zero", lambda p: real(p) + p)
-    assert cli.main(["congruence", "eq1", "5", "--json"]) == 1
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    assert (payload["exact_lhs"], payload["exact_expected"]) == ("29", "24")
-    assert payload["exact_equal"] is False
-    assert payload["entries"] == [{"index": "0", "residue": "4", "expected": "4"}]
-    assert (payload["holds"], payload["status"]) == (False, "violated")
-    assert captured.err == ""
+    # Each lie adds p = 5 and so keeps the residue mod p; only the exact comparison
+    # sees it, whether it sits in the chain's x = 0 link or in the pointwise route
+    # that link calls.
+    real_link, real_route = modular.alternating_power_sum_at_zero, modular.eval_difference_sum
+    lies = [
+        ("alternating_power_sum_at_zero", lambda p: real_link(p) + p),
+        ("eval_difference_sum", lambda n, x: real_route(n, x) + n + 1),
+    ]
+    for name, lie in lies:
+        with monkeypatch.context() as patch:
+            patch.setattr(modular, name, lie)
+            assert cli.main(["congruence", "eq1", "5", "--json"]) == 1, name
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert (payload["exact_lhs"], payload["exact_expected"]) == ("29", "24")
+        assert payload["exact_equal"] is False
+        assert payload["entries"] == [{"index": "0", "residue": "4", "expected": "4"}]
+        assert (payload["holds"], payload["status"]) == (False, "violated")
+        assert captured.err == ""
 
 
 def test_difftable_violation_exits_1(capsys, monkeypatch):
@@ -496,6 +506,64 @@ def test_argparse_rejections_exit_2(capsys, argv):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+# Values for the contract test: small ints, extremes past every budget, num/den built
+# from both, and malformed literals.  Medium values are left out on purpose: 10**5 is
+# admitted at about half a second.
+_SMALL = st.integers(-5, 60)
+_INTS = (_SMALL | st.sampled_from([10**9, 10**40, -10**40])).map(str)
+_RATIOS = st.builds("{}/{}".format, _INTS, _INTS)
+_VALUES = _INTS | _RATIOS | st.sampled_from(["1.5", "1/0", "abc", ""])
+_WELL_FORMED = {int: _INTS, cli.rational: _INTS | _RATIOS}
+_OPTIONS = {flags[0] for row in cli.COMMANDS for flags, _ in row[4:] if flags[0][0] == "-"}
+
+
+@st.composite
+def _argv(draw):
+    """argv for one COMMANDS row: every positional, each option present or not (a
+    required one always), and --json or not.  Half the draws are well formed; in the
+    rest any argument may take any value, and one option of another row may follow."""
+    name, _, _, _, *arguments = draw(st.sampled_from(cli.COMMANDS))
+    clean = draw(st.booleans())
+    argv, own = [name], set()
+    for flags, kwargs in arguments:
+        flag = flags[0]
+        own.add(flag)
+        if flag[0] == "-" and not kwargs.get("required") and not draw(st.booleans()):
+            continue
+        if kwargs.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        if flag == "--max-wilson":  # raised past 10**9, it admits minutes of wilson 10**9
+            values = _SMALL.map(str)
+        else:
+            choices = kwargs.get("choices")
+            values = st.sampled_from(choices) if choices else _WELL_FORMED[kwargs["type"]]
+            values = values if clean else values | _VALUES
+        value = draw(values)
+        if flag[0] != "-":
+            argv.append(value)
+        else:
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if not clean and draw(st.booleans()):
+        argv += [draw(st.sampled_from(sorted(_OPTIONS - own))), draw(_VALUES)]
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(_argv())
+def test_every_row_exits_0_or_2_on_drawn_argv(argv):
+    # No exception but argparse's SystemExit may leave main.
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
 
 
 def test_plain_value_error_escapes_main(monkeypatch):

@@ -131,6 +131,7 @@ def test_pascal_identity():
         ("4/8", Fraction(1, 2)),
         ("3/-6", Fraction(-1, 2)),
         ("0/5", Fraction(0)),
+        ("٣/٤", Fraction(3, 4)),  # Unicode decimal digits, as int() reads them
     ],
 )
 def test_parse_rational_accepts(text, expected):

@@ -8,13 +8,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from poly_oracle import derivative_collapse_check, poly_from_coeffs, poly_mul
+from poly_oracle import (
+    backward_difference,
+    derivative_collapse_check,
+    poly_from_coeffs,
+    poly_mul,
+)
 
 from diffwilson.exact import POLY_ZERO, DomainError, factorial, monomial, poly_const
 from diffwilson.identity import (
     _alternating_expansion,
     _alternating_sum_at,
-    backward_difference,
     difference_table,
     eval_difference_sum,
     eval_lower_power_sum,

@@ -27,8 +27,8 @@ RECORDS = [
     (modular.CongruenceEntry, ("index", "residue", "expected"), (2, 1, 1), {}),
     (
         modular.CongruenceReport,
-        ("check", "modulus", "entries", "holds", "exact_lhs", "exact_expected"),
-        ("identity-at-zero", 5, (modular.CongruenceEntry(0, 4, 4),), True, 24, 24),
+        ("modulus", "entries", "holds", "exact_lhs", "exact_expected"),
+        (5, (modular.CongruenceEntry(0, 4, 4),), True, 24, 24),
         {"exact_lhs": None, "exact_expected": None},
     ),
     (
