@@ -137,9 +137,11 @@ def _range_cost(lo: int, hi: int) -> Cost:
     # The remainder tree over lo..hi has about log2(width) levels of at most B bits, B =
     # width*log2(hi), and its top costs time quadratic in B: 2..200000 (6.5e7 bits) took
     # 13 s and 2..330000 (1.2e8) 38 s.  The prefix, (lo-1)! mod the B-bit product of the
-    # range, takes time proportional to lo*B; a 4096th of that prices its bits as dear as
-    # the tree's: 4200000..4205000 (1.2e8 bits) took 36 s.  wilson n is the range n..n.  A
-    # range outside the domain costs nothing at any width: library or handler refuses it.
+    # range, is blocked once the range is about _BLOCK_MIN factors wide, and then takes time
+    # proportional to lo*B; a 4096th of that prices its bits as dear as the tree's:
+    # 4200000..4205000 (1.2e8 bits) took 36 s.  A narrower range, such as wilson n (the
+    # range n..n), runs one multiplication per factor, which the n budget bounds: wilson
+    # 9999991 is priced 58617 bits and took 0.92 s.  Out of the domain, a range costs nothing.
     if not 2 <= lo <= hi:
         return Cost()
     width = hi - lo + 1
@@ -298,14 +300,15 @@ def _cmd_difftable(args: argparse.Namespace) -> int:
     cols = difference_table(degree, points)
     expected = factorial(degree)
     holds = all(v == expected for v in cols[degree])
-    columns = [[str(v) for v in col] for col in cols]
+    for col in cols:  # each column's ints are freed once its strings are made
+        col[:] = map(str, col)
     d, pts, constant = str(degree), str(points), str(expected)
-    body = {"columns": columns, "constant_column": d, "constant_value": constant}
+    body = {"columns": cols, "constant_column": d, "constant_value": constant}
 
     def lines() -> Iterator[str]:
         yield f"difftable degree={d} points={pts}"
         for x in range(points):
-            yield f"x={x}: " + " ".join(columns[m][x - m] for m in range(min(x, degree) + 1))
+            yield f"x={x}: " + " ".join(cols[m][x - m] for m in range(min(x, degree) + 1))
         yield f"column {d}: expected={constant} holds={_b(holds)}"
     return _report(args, "difftable", {"degree": d, "points": pts}, body, lines(), holds)
 

@@ -1,12 +1,13 @@
 """Exact arithmetic core: integers, canonical rationals, dense polynomials.
 
-Integers are plain Python ints, which are arbitrary-precision natively.
-Rationals are ``fractions.Fraction``, which guarantees the canonical form
-relied on throughout: reduced to lowest terms, positive denominator, zero
-stored as 0/1.  Polynomials are immutable tuples of coefficients in
-ascending power order with no trailing zero entries; the zero polynomial
-is the empty tuple.  Every operation returns canonical values, so ``==``
-on any two results is exact mathematical equality.
+Integers are plain Python ints, arbitrary-precision natively; n! and C(n, i)
+come from ``math``, and ``binomial_row`` builds a whole row by its own
+recurrence.  Rationals are ``fractions.Fraction``, which guarantees the
+canonical form relied on throughout: reduced to lowest terms, positive
+denominator, zero stored as 0/1.  Polynomials are immutable tuples of
+coefficients in ascending power order with no trailing zero entries; the zero
+polynomial is the empty tuple.  Every operation returns canonical values, so
+``==`` on any two results is exact mathematical equality.
 
 ``monomial`` builds int coefficients, and ``poly_const`` keeps the type
 of its argument.  ``poly_shift`` and ``poly_axpy`` work over whatever
@@ -26,6 +27,7 @@ raises ``DomainError``, a ``ValueError`` the CLI reports with exit code 2.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -55,37 +57,24 @@ class DomainError(ValueError):
 
 
 def factorial(n: int) -> int:
-    """n! = 1*2*...*n by iterated product; factorial(0) == 1."""
+    """n! from ``math.factorial``; factorial(0) == 1."""
     if n < 0:
         raise DomainError(f"factorial is undefined for negative n, got {n}")
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return math.factorial(n)
 
 
 def binomial(n: int, i: int) -> int:
-    """C(n, i) by the multiplicative formula with running exact division.
-
-    Out-of-range i (i < 0 or i > n) gives 0, so alternating sums can index
-    freely.
-    """
+    """C(n, i) from ``math.comb``; out-of-range i (i < 0 or i > n) gives 0."""
     if n < 0:
         raise DomainError(f"binomial needs n >= 0, got {n}")
-    if i < 0 or i > n:
-        return 0
-    i = min(i, n - i)
-    out = 1
-    for k in range(1, i + 1):
-        # out * (n - i + k) is divisible by k: k consecutive integers.
-        out = out * (n - i + k) // k
-    return out
+    return math.comb(n, i) if i >= 0 else 0
 
 
 def binomial_row(n: int) -> list[int]:
     """Row n of Pascal's triangle, [C(n,0), ..., C(n,n)], built incrementally.
 
-    Same multiplicative recurrence as binomial(); one pass instead of n calls.
+    The package's one hand-written binomial recurrence, C(n,i) = C(n,i-1) * (n-i+1) / i,
+    so the pointwise route's weights share no code with binomial()'s ``math.comb``.
     """
     if n < 0:
         raise DomainError(f"binomial row needs n >= 0, got {n}")

@@ -159,11 +159,11 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
     at the top.
 
     Costs factorial_mod(lo-1, prod(lo..hi)) first, lo-2 multiplications
-    (none when lo = 2).  The tree has about log2(hi-lo+1) levels of about
-    log2(hi!/(lo-1)!) bits each, and the walk reduces each level once.
-    CPython 3.11 to 3.13 divides big integers by schoolbook, so the reductions
-    at the top of the tree, and a sweep from 2, still take time quadratic in
-    the width of the range: 2..10**4 took 0.06 s, 2..5*10**4 1.0 s.
+    (factorial_mod(1, m) = 1 when lo = 2).  The tree has about log2(hi-lo+1) levels
+    of about log2(hi!/(lo-1)!) bits each, and the walk reduces each level once.
+    CPython 3.11 to 3.13 divides big integers by schoolbook, so the reductions at
+    the top of the tree, and a sweep from 2, still take time quadratic in the width
+    of the range: 2..10**4 took 0.06 s, 2..5*10**4 1.0 s.
     """
     if lo < 2:
         raise DomainError(
@@ -175,7 +175,7 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
     while len(levels[-1]) > 1:
         row = levels[-1]
         levels.append([prod(row[i:i + 2]) for i in range(0, len(row), 2)])
-    f = 1 if lo == 2 else factorial_mod(lo - 1, levels[-1][0])
+    f = factorial_mod(lo - 1, levels[-1][0])
     for n, f in enumerate(_descend(levels, len(levels) - 1, 0, f), lo):
         is_prime = f == n - 1
         yield PrimalityVerdict(

@@ -46,8 +46,9 @@ def test_factorial_values(n, expected):
 
 
 def test_factorial_matches_stdlib():
+    # factorial is math.factorial behind a refusal; the oracle is the plain product.
     for n in range(201):
-        assert factorial(n) == math.factorial(n)
+        assert factorial(n) == math.prod(range(1, n + 1))
 
 
 def test_domain_error_is_a_value_error():
@@ -90,9 +91,11 @@ def test_binomial_rejects_negative_n():
 
 
 def test_binomial_matches_stdlib():
+    # binomial is math.comb behind a refusal; the oracle is the factorial quotient.
+    f = math.factorial
     for n in range(61):
         for i in range(n + 1):
-            assert binomial(n, i) == math.comb(n, i)
+            assert binomial(n, i) == f(n) // (f(i) * f(n - i))
 
 
 def test_binomial_row_values():

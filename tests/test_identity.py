@@ -40,16 +40,25 @@ def oracle_sum(n, exponent, x):
     return sum((-1) ** i * math.comb(n, i) * (x - i) ** exponent for i in range(n + 1))
 
 
+def pascal_row(n):
+    # Row n by Pascal's additive rule, independent of math.comb, which the symbolic
+    # route's weights come from.
+    row = [1]
+    for _ in range(n):
+        row = [a + b for a, b in zip([0] + row, row + [0])]
+    return row
+
+
 def oracle_expansion(n, exponent):
-    # Independent of poly_shift: each (X - i)**exponent by repeated
-    # convolution, accumulated in Fraction.
+    # Independent of poly_shift and of math.comb: each (X - i)**exponent by repeated
+    # convolution, weighted by an additive Pascal row, accumulated in Fraction.
     acc = [Fraction(0)] * (exponent + 1)
-    for i in range(n + 1):
+    for i, weight in enumerate(pascal_row(n)):
         power = (Fraction(1),)
         for _ in range(exponent):
             power = poly_mul(power, (Fraction(-i), Fraction(1)))
         for k, c in enumerate(power):
-            acc[k] += (-1) ** i * math.comb(n, i) * c
+            acc[k] += (-1) ** i * weight * c
     return poly_from_coeffs(acc)
 
 
