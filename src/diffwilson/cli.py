@@ -42,7 +42,7 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import (
     DomainError,
@@ -74,6 +74,7 @@ from .modular import (
 SCHEMA_VERSION = "1"
 DEFAULT_TRIALS = 10
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that hung up
+JSON_BATCH = 512  # leaf values per json.dumps call when a report writes a list
 
 
 class Cost(NamedTuple):
@@ -158,18 +159,64 @@ def _b(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _status(holds: bool) -> str:
+    return "holds" if holds else "violated"
+
+
+def _json_array(items: Iterable) -> Iterator[str]:
+    # A list or an iterator of JSON values, one json.dumps call per batch of about
+    # JSON_BATCH leaf values: a run of small items, or a single item as big as a batch.
+    yield "["
+    sep, batch, leaves = "", [], 0
+    for item in items:
+        batch.append(item)
+        leaves += len(item) if isinstance(item, (list, dict)) else 1
+        if leaves >= JSON_BATCH:
+            yield sep + json.dumps(batch)[1:-1]
+            sep, batch, leaves = ", ", [], 0
+    if batch:
+        yield sep + json.dumps(batch)[1:-1]
+    yield "]"
+
+
+def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
+    """One JSON object and its newline, in pieces: the text json.dumps gives for the
+    object, read from fields one at a time.  A value that is a list or an iterator is
+    written in batches (see _json_array), and every other value whole."""
+    yield "{"
+    sep = ""
+    for key, value in fields:
+        yield f"{sep}{json.dumps(key)}: "
+        sep = ", "
+        if isinstance(value, (list, Iterator)):
+            yield from _json_array(value)
+        else:
+            yield json.dumps(value)
+    yield "}\n"
+
+
 def _report(args: argparse.Namespace, check: str, params: dict, body: dict,
-            lines: Iterable[str], holds: bool) -> int:
-    """Print one single-result report and return its exit code.  body is its only record,
-    printed as JSON; lines, a lazy view of it, is read only for text, one line at a time."""
-    status = "holds" if holds else "violated"
+            lines: Iterable[str], holds: bool | Callable[[], bool]) -> int:
+    """Write one single-result report as it is produced and return its exit code.
+
+    body is the report's only record, written as JSON by _json_pieces; its lists and
+    iterators go out in bounded batches, so a reader that hangs up early sees a partial
+    object.  lines, a lazy view of body, is read only for text, one line at a time.
+    holds, or holds() when it is callable, is read only once the body is written, so
+    a handler may settle it from a column as that column streams past.
+    """
+    verdict = holds if callable(holds) else lambda: holds
     if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, "check": check, "params": params}
-        print(json.dumps({**payload, **body, "holds": holds, "status": status}))
+        def fields() -> Iterator[tuple[str, object]]:
+            yield from {"schema_version": SCHEMA_VERSION, "check": check,
+                        "params": params}.items()
+            yield from body.items()
+            yield from {"holds": verdict(), "status": _status(verdict())}.items()
+        sys.stdout.writelines(_json_pieces(fields()))
     else:
         sys.stdout.writelines(f"{line}\n" for line in lines)
-        print(f"status: {status}")
-    return 0 if holds else 1
+        print(f"status: {_status(verdict())}")
+    return 0 if verdict() else 1
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
@@ -281,8 +328,8 @@ def _cmd_congruence(args: argparse.Namespace) -> int:
         lhs, expected = report.exact_lhs, report.exact_expected
         body.update(exact_lhs=str(lhs), exact_expected=str(expected),
                     exact_equal=lhs == expected)
-    body["entries"] = [{"index": str(e.index), "residue": str(e.residue),
-                        "expected": str(e.expected)} for e in report.entries]
+    body["entries"] = ({"index": str(e.index), "residue": str(e.residue),
+                        "expected": str(e.expected)} for e in report.entries)
     params = {"kind": args.kind, "p": p}
 
     def lines() -> Iterator[str]:
@@ -297,20 +344,30 @@ def _cmd_congruence(args: argparse.Namespace) -> int:
 
 def _cmd_difftable(args: argparse.Namespace) -> int:
     degree, points = args.degree, args.points
-    cols = difference_table(degree, points)
+    table = difference_table(degree, points)  # refuses a bad degree or points here
     expected = factorial(degree)
-    holds = all(v == expected for v in cols[degree])
-    for col in cols:  # each column's ints are freed once its strings are made
-        col[:] = map(str, col)
+    holds = False  # settled as column `degree` passes; a table without one never holds
+
+    def checked() -> Iterator[list[int]]:
+        nonlocal holds
+        for m, col in enumerate(table):
+            if m == degree:
+                holds = all(v == expected for v in col)
+            yield col
+
+    # JSON writes each column's strings as they are made; text reads the table by rows.
+    cols = (list(map(str, col)) for col in checked()) if args.json else list(checked())
     d, pts, constant = str(degree), str(points), str(expected)
     body = {"columns": cols, "constant_column": d, "constant_value": constant}
 
     def lines() -> Iterator[str]:
         yield f"difftable degree={d} points={pts}"
         for x in range(points):
-            yield f"x={x}: " + " ".join(cols[m][x - m] for m in range(min(x, degree) + 1))
+            row = [str(cols[m][x - m]) for m in range(min(x, degree) + 1)]
+            yield f"x={x}: " + " ".join(row)
         yield f"column {d}: expected={constant} holds={_b(holds)}"
-    return _report(args, "difftable", {"degree": d, "points": pts}, body, lines(), holds)
+    return _report(args, "difftable", {"degree": d, "points": pts}, body, lines(),
+                   lambda: holds)
 
 
 def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterator
 
 from .exact import (
     POLY_ZERO,
@@ -115,12 +116,16 @@ def symbolic_lower_power_poly(n: int, j: int) -> Poly:
     return _alternating_expansion(n, n - j)
 
 
-def difference_table(degree: int, points: int) -> list[list[int]]:
+def difference_table(degree: int, points: int) -> Iterator[list[int]]:
     """Columns of the difference table of x**degree sampled at x = 0..points-1.
 
     Column 0 holds the sampled values; column m+1 holds consecutive
     differences of column m, so column m has points - m entries.  Column
     `degree` is constant factorial(degree).
+
+    A bad degree or point count is refused at the call.  The columns come
+    back as an iterator and each is built when it is read, so a reader that
+    drops every column once it is done with it holds at most two.
     """
     if degree < 0:
         raise DomainError(f"degree must be non-negative, got {degree}")
@@ -128,12 +133,15 @@ def difference_table(degree: int, points: int) -> list[list[int]]:
         raise DomainError(
             f"need at least degree+1 sample points, got points={points} for degree={degree}"
         )
+    return _difference_columns(degree, points)
+
+
+def _difference_columns(degree: int, points: int) -> Iterator[list[int]]:
     col = [x**degree for x in range(points)]
-    cols = [col]
+    yield col
     for _ in range(degree):
         col = [b - a for a, b in zip(col, col[1:])]
-        cols.append(col)
-    return cols
+        yield col
 
 
 def sample_rationals(rng: random.Random, count: int) -> list[Fraction]:

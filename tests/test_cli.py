@@ -9,6 +9,7 @@ import argparse
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -109,6 +110,45 @@ def test_json_mode_formats_no_text_line(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "_b", no_text)
     assert cli.main(argv + ["--json"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# The report writer: batched json.dumps calls give the text one json.dumps call gives.
+
+_ESCAPED = st.sampled_from('"\\/\n\t\x00\x7fé€😀')  # escapes and non-ASCII
+_TEXT = st.text(_ESCAPED | st.characters(blacklist_categories=("Cs",)), max_size=8)
+_SCALARS = st.none() | st.booleans() | st.integers(-10**30, 10**30) | _TEXT
+_ITEMS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=8,
+)
+# Lengths on both sides of a batch boundary, in items and in the leaves of list items.
+_AROUND_A_BATCH = [0, 1, 2, cli.JSON_BATCH - 1, cli.JSON_BATCH, cli.JSON_BATCH + 1,
+                   2 * cli.JSON_BATCH + 1]
+
+
+@st.composite
+def _arrays(draw):
+    """A short list of any items, or a long one of scalars or of columns of scalars."""
+    if draw(st.booleans()):
+        return draw(st.lists(_ITEMS, max_size=6))
+    pattern = draw(st.lists(_SCALARS, min_size=1, max_size=3))
+    sizes = st.sampled_from(_AROUND_A_BATCH) | st.integers(0, 3)
+    if draw(st.booleans()):
+        return [pattern[i % len(pattern)] for i in range(draw(sizes))]
+    return [[pattern[i % len(pattern)] for i in range(size)]
+            for size in draw(st.lists(sizes, max_size=3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_TEXT, _ITEMS | _arrays(), st.booleans()), max_size=6,
+                unique_by=lambda field: field[0]))
+def test_json_pieces_match_one_json_dumps(fields):
+    # A field marked True goes in as an iterator, which json.dumps itself cannot encode.
+    streamed = [(k, iter(v) if as_iter and isinstance(v, list) else v)
+                for k, v, as_iter in fields]
+    text = "".join(cli._json_pieces(streamed))
+    assert text == json.dumps({k: v for k, v, _ in fields}) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -329,6 +369,56 @@ def test_closed_pipe_exits_141_without_traceback():
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
 
 
+def test_closed_pipe_mid_json_report_exits_141_without_traceback():
+    # A single-result report is written as it is produced, so the reader sees the start
+    # of the object before it hangs up.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diffwilson", "difftable", "--degree", "100",
+         "--points", "1000", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert head.startswith(b'{"schema_version": "1", "check": "difftable", "params": ')
+    assert b"Traceback" not in stderr
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
+BIG_REPORTS = [
+    ["difftable", "--degree", "100", "--points", "1000", "--json"],  # 21.5 MB of JSON
+    ["congruence", "fermat", "100003", "--json"],  # 5.3 MB, 100002 entries
+]
+
+
+# A child's ru_maxrss counts the resident size of the process it was forked from, so the
+# child is started from this small process rather than from the test run.
+_PEAK_RSS_KIB = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("argv", BIG_REPORTS, ids=[" ".join(a) for a in BIG_REPORTS])
+def test_big_json_report_peaks_under_40_mb(argv):
+    # A report built whole before it is written peaks near 80 MB.
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_KIB, sys.executable, "-m", "diffwilson", *argv],
+        capture_output=True,
+        text=True,
+    )
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib / 1024 < 40, peak_kib
+
+
 # exit code 1: violations, reachable only through broken verifiers
 
 
@@ -412,6 +502,22 @@ def test_difftable_violation_exits_1(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["holds"] is False
     assert payload["status"] == "violated"
+
+
+STREAMED_TABLES = {
+    "last column wrong": lambda d, p: iter([[0, 1, 4], [1, 3], [2, 3]]),
+    "too few columns": lambda d, p: (col for col in [[0, 1, 4], [1, 3]]),
+}
+
+
+@pytest.mark.parametrize("table", STREAMED_TABLES.values(), ids=STREAMED_TABLES)
+def test_streamed_difftable_violation_exits_1(capsys, monkeypatch, table):
+    # holds is settled from column `degree` as it streams past, then written last.
+    monkeypatch.setattr(cli, "difference_table", table)
+    assert cli.main(["difftable", "--degree", "2", "--points", "3", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["columns"] == [[str(v) for v in col] for col in table(2, 3)]
+    assert list(payload.items())[-2:] == [("holds", False), ("status", "violated")]
 
 
 # exit code 2: usage errors on stderr

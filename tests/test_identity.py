@@ -194,12 +194,12 @@ def test_derivative_collapse_rejects_bad_j():
 
 
 def test_difference_table_example():
-    assert difference_table(2, 5) == [[0, 1, 4, 9, 16], [1, 3, 5, 7], [2, 2, 2]]
+    assert list(difference_table(2, 5)) == [[0, 1, 4, 9, 16], [1, 3, 5, 7], [2, 2, 2]]
 
 
 def test_difference_table_constant_column():
     for degree in range(8):
-        cols = difference_table(degree, degree + 4)
+        cols = list(difference_table(degree, degree + 4))
         assert len(cols) == degree + 1
         assert all(len(cols[m]) == degree + 4 - m for m in range(degree + 1))
         assert cols[degree] == [factorial(degree)] * 4
