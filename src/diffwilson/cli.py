@@ -36,14 +36,14 @@ stderr instead.)
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from . import exact
 from .exact import (
     DomainError,
     factorial,
@@ -70,6 +70,9 @@ from .modular import (
     wilson_sweep,
     wilson_test,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SCHEMA_VERSION = "1"
 DEFAULT_TRIALS = 10
@@ -166,6 +169,8 @@ def _status(holds: bool) -> str:
 def _json_array(items: Iterable) -> Iterator[str]:
     # A list or an iterator of JSON values, one json.dumps call per batch of about
     # JSON_BATCH leaf values: a run of small items, or a single item as big as a batch.
+    import json  # here, not at the top: only a JSON report loads it
+
     yield "["
     sep, batch, leaves = "", [], 0
     for item in items:
@@ -183,6 +188,8 @@ def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
     """One JSON object and its newline, in pieces: the text json.dumps gives for the
     object, read from fields one at a time.  A value that is a list or an iterator is
     written in batches (see _json_array), and every other value whole."""
+    import json  # here, not at the top: only a JSON report loads it
+
     yield "{"
     sep = ""
     for key, value in fields:
@@ -220,13 +227,18 @@ def _report(args: argparse.Namespace, check: str, params: dict, body: dict,
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
-    """identity and lower-power; the text header names every param except x."""
+    """identity and lower-power; the text header names every param except x.
+
+    The rows are evaluated and written one at a time.  The first point is evaluated
+    before anything is written, so every refusal comes first, and it supplies
+    params["x"] and, when it is the only point, body["lhs"].
+    """
     n, j = args.n, getattr(args, "j", None)
     params = {"n": str(n)} if j is None else {"n": str(n), "j": str(j)}
     if args.x is not None:
         if args.trials is not None or args.seed is not None:
             raise DomainError("--trials and --seed apply only when --x is omitted")
-        points = [args.x]
+        trials, points = 1, iter([args.x])
     else:
         trials = DEFAULT_TRIALS if args.trials is None else args.trials
         if trials < 1:
@@ -239,37 +251,53 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         params["trials"] = str(trials)
         params["seed"] = str(seed)
         points = sample_rationals(random.Random(seed), trials)
+    route = (partial(eval_difference_sum, n) if j is None
+             else partial(eval_lower_power_sum, n, j))
+    x0 = next(points)
+    v0 = route(x0)  # refuses a bad n or j
     if j is None:
-        sums = [eval_difference_sum(n, x) for x in points]
         poly = symbolic_difference_poly(n) if args.symbolic else None
-        closed = Fraction(factorial(n))  # once the routes have refused a negative n
+        closed = exact.Fraction(factorial(n))  # once the routes have refused a negative n
     else:
-        sums = [eval_lower_power_sum(n, j, x) for x in points]
         poly = symbolic_lower_power_poly(n, j) if args.symbolic else None
-        closed = Fraction(0)
+        closed = exact.Fraction(0)
     rhs = format_rational(closed)
-    results = [{"x": format_rational(x), "lhs": format_rational(v), "rhs": rhs,
-                "holds": v == closed} for x, v in zip(points, sums)]
+
+    def row(x: Fraction, v: Fraction) -> dict:
+        return {"x": format_rational(x), "lhs": format_rational(v), "rhs": rhs,
+                "holds": v == closed}
+
+    first = row(x0, v0)
+    rows_hold = first["holds"]  # settled as the rows pass
+
+    def results() -> Iterator[dict]:
+        nonlocal rows_hold
+        yield first
+        for x in points:
+            r = row(x, route(x))
+            rows_hold = rows_hold and r["holds"]
+            yield r
+
     if args.x is not None:
-        params["x"] = results[0]["x"]
-    body: dict = {"results": results}
-    if len(results) == 1:
-        body["lhs"] = results[0]["lhs"]
+        params["x"] = first["x"]
+    body: dict = {"results": results()}
+    if trials == 1:
+        body["lhs"] = first["lhs"]
     body["rhs"] = rhs
-    holds = all(r["holds"] for r in results)
+    sym_holds = True
     if poly is not None:
         sym_holds = poly == poly_const(closed)  # must collapse to the closed form
         body["symbolic"] = {"coefficients": format_poly(poly), "holds": sym_holds}
-        holds = holds and sym_holds
 
     def lines() -> Iterator[str]:
         yield " ".join([args.command] + [f"{k}={v}" for k, v in params.items() if k != "x"])
-        for r in results:
+        for r in body["results"]:
             yield f"x={r['x']}: lhs={r['lhs']} rhs={rhs} holds={_b(r['holds'])}"
         if poly is not None:
             joined = ", ".join(body["symbolic"]["coefficients"])
             yield f"symbolic: coefficients=[{joined}] holds={_b(sym_holds)}"
-    return _report(args, args.command, params, body, lines(), holds)
+    return _report(args, args.command, params, body, lines(),
+                   lambda: rows_hold and sym_holds)
 
 
 def _verdict_line(v: PrimalityVerdict) -> str:

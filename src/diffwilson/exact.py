@@ -4,7 +4,9 @@ Integers are plain Python ints, arbitrary-precision natively; n! and C(n, i)
 come from ``math``, and ``binomial_row`` builds a whole row by its own
 recurrence.  Rationals are ``fractions.Fraction``, which guarantees the
 canonical form relied on throughout: reduced to lowest terms, positive
-denominator, zero stored as 0/1.  Polynomials are immutable tuples of
+denominator, zero stored as 0/1.  The package reaches it as ``exact.Fraction``,
+which imports ``fractions`` (and with it ``decimal``) on first use, so a run
+that builds no rational never loads them.  Polynomials are immutable tuples of
 coefficients in ascending power order with no trailing zero entries; the zero
 polynomial is the empty tuple.  Every operation returns canonical values, so
 ``==`` on any two results is exact mathematical equality.
@@ -29,7 +31,10 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DomainError",
@@ -47,13 +52,24 @@ __all__ = [
     "poly_shift",
 ]
 
-Poly = tuple[Fraction | int, ...]
+Poly = tuple["Fraction | int", ...]
 
 POLY_ZERO: Poly = ()
 
 
 class DomainError(ValueError):
     """An argument outside the domain of the function that refused it."""
+
+
+def __getattr__(name: str):
+    # Module attribute hook (PEP 562): only a lookup that misses the module's globals
+    # reaches it, so Fraction is imported once and later lookups find it directly.
+    if name != "Fraction":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    globals()["Fraction"] = Fraction
+    return Fraction
 
 
 def factorial(n: int) -> int:
@@ -99,7 +115,7 @@ def parse_rational(text: str) -> Fraction:
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise DomainError("rational denominator must be nonzero")
-    return Fraction(num, den)
+    return __getattr__("Fraction")(num, den)  # no global Fraction before first use
 
 
 def format_rational(q: Fraction) -> str:

@@ -25,9 +25,9 @@ n! or 0, which it computes once however many points it checks.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
+from . import exact
 from .exact import (
     POLY_ZERO,
     DomainError,
@@ -38,6 +38,9 @@ from .exact import (
     poly_axpy,
     poly_shift,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "difference_table",
@@ -64,13 +67,14 @@ def _require_j(n: int, j: int) -> None:
 
 def _alternating_sum_at(n: int, exponent: int, x: Fraction | int) -> Fraction:
     # sum_i (-1)^i C(n,i) (x - i)^exponent over the ints, with x = a/b.
-    x = Fraction(x)
+    fraction = exact.Fraction
+    x = fraction(x)
     a, b = x.numerator, x.denominator
     total = 0
     for i, weight in enumerate(binomial_row(n)):
         term = weight * (a - i * b) ** exponent
         total = total + term if i % 2 == 0 else total - term
-    return Fraction(total, b**exponent)
+    return fraction(total, b**exponent)
 
 
 def eval_difference_sum(n: int, x: Fraction | int) -> Fraction:
@@ -97,7 +101,7 @@ def _alternating_expansion(n: int, exponent: int) -> Poly:
         shifted = poly_shift(base, -i)
         weight = binomial(n, i)
         acc = poly_axpy(weight if i % 2 == 0 else -weight, shifted, acc)
-    return tuple(Fraction(c) for c in acc)
+    return tuple(map(exact.Fraction, acc))
 
 
 def symbolic_difference_poly(n: int) -> Poly:
@@ -144,11 +148,12 @@ def _difference_columns(degree: int, points: int) -> Iterator[list[int]]:
         yield col
 
 
-def sample_rationals(rng: random.Random, count: int) -> list[Fraction]:
+def sample_rationals(rng: random.Random, count: int) -> Iterator[Fraction]:
     """count seeded random rationals with components within SAMPLE_BOUND.
 
     Numerators are drawn from [-SAMPLE_BOUND, SAMPLE_BOUND] and denominators
     from [1, SAMPLE_BOUND]; canonical reduction can only shrink the components.
+    Each point is drawn from rng when it is read, so a caller holds one at a time.
     """
-    b = SAMPLE_BOUND
-    return [Fraction(rng.randint(-b, b), rng.randint(1, b)) for _ in range(count)]
+    b, fraction = SAMPLE_BOUND, exact.Fraction
+    return (fraction(rng.randint(-b, b), rng.randint(1, b)) for _ in range(count))

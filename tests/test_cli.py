@@ -392,6 +392,7 @@ def test_closed_pipe_mid_json_report_exits_141_without_traceback():
 BIG_REPORTS = [
     ["difftable", "--degree", "100", "--points", "1000", "--json"],  # 21.5 MB of JSON
     ["congruence", "fermat", "100003", "--json"],  # 5.3 MB, 100002 entries
+    ["identity", "--n", "0", "--trials", "50000", "--seed", "1", "--json"],  # 3.0 MB, 50000 rows
 ]
 
 

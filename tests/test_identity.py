@@ -213,8 +213,8 @@ def test_difference_table_rejects_short_sample():
 
 
 def test_sample_rationals_seeded_and_bounded():
-    a = sample_rationals(random.Random(7), 20)
-    b = sample_rationals(random.Random(7), 20)
+    a = list(sample_rationals(random.Random(7), 20))
+    b = list(sample_rationals(random.Random(7), 20))
     assert a == b
     assert len(a) == 20
     for q in a:

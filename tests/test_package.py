@@ -1,6 +1,7 @@
 """The package root re-exports exactly the public names of its modules; the
 result records are immutable value tuples; the CLI starts without
-``dataclasses`` or ``inspect``; no source line is wider than 94 columns."""
+``dataclasses`` or ``inspect``, and loads ``json`` and ``fractions`` only in the runs
+that use them; no source line is wider than 94 columns."""
 
 import pathlib
 import subprocess
@@ -67,6 +68,64 @@ def test_cli_import_adds_neither_dataclasses_nor_inspect():
     added = set(proc.stdout.split())
     assert "diffwilson.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# Runs main in a fresh interpreter and reports, on stderr, which of the modules that
+# load on first use it loaded.
+_LAZY_PROBE = """
+import sys
+before = set(sys.modules)
+import diffwilson.cli
+if sys.argv[1:]:
+    diffwilson.cli.main(sys.argv[1:])
+added = set(sys.modules) - before
+print(*sorted(added & {"json", "fractions", "decimal"}), file=sys.stderr)
+"""
+
+
+LAZY_CASES = [
+    ([], set()),
+    (["wilson", "5"], set()),
+    (["wilson-range", "2", "12", "--json"], set()),
+    (["congruence", "binom", "7"], set()),
+    (["difftable", "--degree", "2", "--points", "5"], set()),
+    (["wilson", "5", "--json"], {"json"}),
+    (["identity", "--n", "3", "--x", "7"], {"fractions", "decimal"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,loads", LAZY_CASES, ids=[" ".join(argv) or "import" for argv, _ in LAZY_CASES]
+)
+def test_cli_loads_json_and_fractions_only_when_used(argv, loads):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.split()) == loads
+
+
+def test_exact_fraction_loads_on_first_use():
+    code = (
+        "import sys\n"
+        "from diffwilson import exact\n"
+        "print('fractions' in sys.modules)\n"
+        "print(exact.Fraction is sys.modules['fractions'].Fraction)\n"
+        "try:\n"
+        "    exact.Fractions\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "True",
+        "module 'diffwilson.exact' has no attribute 'Fractions'",
+    ]
 
 
 def test_source_lines_fit_94_columns():
