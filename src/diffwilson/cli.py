@@ -98,9 +98,9 @@ BUDGET = Cost(terms=150_000, bits=120_000_000, n=10**7)
 _REFUSALS = {
     "terms": "{command} needs {spent} exact terms, over the budget of {limit}",
     "bits": "{command} needs {spent} bits of exact terms, over the budget of {limit}",
-    "n": "n={spent} exceeds --max-wilson={limit}: wilson n costs n-2 modular multiplications"
-    " and wilson-range lo hi at most as many for n = hi, plus a remainder tree that the bits"
-    " budget bounds; raise the bound explicitly if you mean it",
+    "n": "n={spent} exceeds --max-wilson={limit}: wilson n costs up to n-2 modular"
+    " multiplications and wilson-range lo hi at most as many for n = hi, plus a remainder"
+    " tree that the bits budget bounds; raise the bound explicitly if you mean it",
 }
 
 
@@ -108,7 +108,8 @@ def _sum_cost(args: argparse.Namespace) -> Cost:
     # Per point a/b: n+1 terms C(n, i) (a - i*b)**m, each below 2**n (|a| + n*b)**m, and two
     # more to draw it and compare it with the closed form, computed once per request.  Powers
     # take longer than their size, so they count in bits too; the symbolic route's (n+1)(m+1)
-    # products by small factors do not.  An n or j outside the domain costs next to nothing.
+    # products, each of two big numbers, count in terms only.  An n or j outside the domain
+    # costs next to nothing.
     n, j = max(args.n, 0), getattr(args, "j", 0)
     m = n - j if 0 <= j <= n else 0
     if args.x is None:
@@ -144,7 +145,8 @@ def _range_cost(lo: int, hi: int) -> Cost:
     # range, is blocked once the range is about _BLOCK_MIN factors wide, and then takes time
     # proportional to lo*B; a 4096th of that prices its bits as dear as the tree's:
     # 4200000..4205000 (1.2e8 bits) took 36 s.  A narrower range, such as wilson n (the
-    # range n..n), runs one multiplication per factor, which the n budget bounds: wilson
+    # range n..n), multiplies one factor at a time to the first zero product, n-2 for a prime
+    # n and about S(n)-1 for a composite; the n budget prices the worst case, a prime: wilson
     # 9999991 is priced 58617 bits and took 0.92 s.  Out of the domain, a range costs nothing.
     if not 2 <= lo <= hi:
         return Cost()

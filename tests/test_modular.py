@@ -90,6 +90,67 @@ def test_factorial_mod_keeps_one_reduction_per_factor_for_a_narrow_modulus(monke
     assert factorial_mod(1008, 1009) == 1008
 
 
+def _kempner(m):
+    """S(m) = min{k : m | k!}, straight from the definition, over exact factorials."""
+    k, f = 1, 1
+    while f % m:
+        k += 1
+        f *= k
+    return k
+
+
+# Narrow composite moduli: 4 (the one composite whose Wilson residue is not 0), prime
+# powers, p**2 and 2p, then a seeded sample of every composite up to 5000.
+_NARROW_COMPOSITES = [4, 8, 9, 25, 49, 997**2, 2 * 4999] + random.Random(16).sample(
+    [m for m in range(4, 5001) if not PRIME[m]], 1000
+)
+
+
+def test_factorial_mod_matches_exact_around_the_kempner_number():
+    for m in _NARROW_COMPOSITES:
+        s = _kempner(m)
+        for n in (s - 2, s - 1, s, s + 1, 2 * s):
+            assert factorial_mod(n, m) == math.factorial(n) % m, (n, m)
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """The factors factorial_mod multiplies, each of which comes out of a range."""
+    values = []
+
+    def counting_range(*args):
+        for i in range(*args):
+            values.append(i)
+            yield i
+
+    monkeypatch.setattr(modular, "range", counting_range, raising=False)
+    return values
+
+
+@pytest.mark.parametrize("chunk", [1, modular._CHUNK])
+def test_factorial_mod_stops_a_narrow_modulus_at_the_kempner_number(
+    monkeypatch, taken, chunk
+):
+    # n is at most m - 1 < 10**6, so a loop that never stops early still ends, and fails.
+    # The prime 1009 never reaches 0, and S(1009) = 1009 takes every factor up to n.
+    monkeypatch.setattr(modular, "_CHUNK", chunk)
+    for m in _NARROW_COMPOSITES[:200] + [1000, 999999, 10**6, 1009]:
+        s = _kempner(m)
+        for n in (s - 1, m - 1):
+            taken.clear()
+            assert factorial_mod(n, m) == (math.factorial(n) % m if n < s else 0)
+            # The last factor taken ends the chunk of factors that holds S(m).
+            assert max(taken) == min(n, 1 + chunk * -(-(s - 1) // chunk)), (n, m)
+
+
+def test_factorial_mod_stops_a_wide_modulus_in_the_block_holding_the_kempner_number(taken):
+    m, n = math.prod(range(1000, 1100)), 3000
+    s, k = _kempner(m), m.bit_length() // n.bit_length()
+    assert k >= modular._BLOCK_MIN
+    assert factorial_mod(n, m) == 0
+    assert s <= max(taken) < s + k
+
+
 def test_factorial_mod_rejects_bad_arguments():
     with pytest.raises(DomainError):
         factorial_mod(5, 0)
