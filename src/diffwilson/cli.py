@@ -39,8 +39,8 @@ import argparse
 import os
 import random
 import sys
-from contextlib import contextmanager
 from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import exact
@@ -205,41 +205,49 @@ def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
 
 
 def _report(args: argparse.Namespace, check: str, params: dict, body: dict,
-            lines: Iterable[str], holds: bool | Callable[[], bool]) -> int:
+            lines: Iterable[str], holds: Callable[[], bool]) -> int:
     """Write one single-result report as it is produced and return its exit code.
 
     body is the report's only record, written as JSON by _json_pieces; its lists and
     iterators go out in bounded batches, so a reader that hangs up early sees a partial
     object.  lines, a lazy view of body, is read only for text, one line at a time.
-    holds, or holds() when it is callable, is read only once the body is written, so
-    a handler may settle it from a column as that column streams past.
+    holds() is called only once the body is written, so a handler may settle the
+    verdict from a column as that column streams past.
     """
-    verdict = holds if callable(holds) else lambda: holds
     if args.json:
         def fields() -> Iterator[tuple[str, object]]:
             yield from {"schema_version": SCHEMA_VERSION, "check": check,
                         "params": params}.items()
             yield from body.items()
-            yield from {"holds": verdict(), "status": _status(verdict())}.items()
+            yield from {"holds": holds(), "status": _status(holds())}.items()
         sys.stdout.writelines(_json_pieces(fields()))
     else:
         sys.stdout.writelines(f"{line}\n" for line in lines)
-        print(f"status: {_status(verdict())}")
-    return 0 if verdict() else 1
+        print(f"status: {_status(holds())}")
+    return 0 if holds() else 1
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     """identity and lower-power; the text header names every param except x.
 
-    The rows are evaluated and written one at a time.  The first point is evaluated
-    before anything is written, so every refusal comes first, and it supplies
-    params["x"] and, when it is the only point, body["lhs"].
+    The rows are evaluated and written one at a time, by one generator.  The first
+    point is evaluated before anything is written, so every refusal comes first.
     """
     n, j = args.n, getattr(args, "j", None)
-    params = {"n": str(n)} if j is None else {"n": str(n), "j": str(j)}
+    if j is None:
+        params = {"n": str(n)}
+        route = partial(eval_difference_sum, n)
+        symbolic = partial(symbolic_difference_poly, n)
+        closed_form = partial(factorial, n)
+    else:
+        params = {"n": str(n), "j": str(j)}
+        route = partial(eval_lower_power_sum, n, j)
+        symbolic = partial(symbolic_lower_power_poly, n, j)
+        closed_form = int  # int() is 0
     if args.x is not None:
         if args.trials is not None or args.seed is not None:
             raise DomainError("--trials and --seed apply only when --x is omitted")
+        params["x"] = format_rational(args.x)
         trials, points = 1, iter([args.x])
     else:
         trials = DEFAULT_TRIALS if args.trials is None else args.trials
@@ -253,42 +261,27 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         params["trials"] = str(trials)
         params["seed"] = str(seed)
         points = sample_rationals(random.Random(seed), trials)
-    route = (partial(eval_difference_sum, n) if j is None
-             else partial(eval_lower_power_sum, n, j))
     x0 = next(points)
     v0 = route(x0)  # refuses a bad n or j
-    if j is None:
-        poly = symbolic_difference_poly(n) if args.symbolic else None
-        closed = exact.Fraction(factorial(n))  # once the routes have refused a negative n
-    else:
-        poly = symbolic_lower_power_poly(n, j) if args.symbolic else None
-        closed = exact.Fraction(0)
+    poly = symbolic() if args.symbolic else None
+    closed = exact.Fraction(closed_form())  # once the routes have refused a negative n
     rhs = format_rational(closed)
-
-    def row(x: Fraction, v: Fraction) -> dict:
-        return {"x": format_rational(x), "lhs": format_rational(v), "rhs": rhs,
-                "holds": v == closed}
-
-    first = row(x0, v0)
-    rows_hold = first["holds"]  # settled as the rows pass
+    rows_hold = True  # settled as the rows pass
 
     def results() -> Iterator[dict]:
         nonlocal rows_hold
-        yield first
-        for x in points:
-            r = row(x, route(x))
-            rows_hold = rows_hold and r["holds"]
-            yield r
+        for x, v in chain([(x0, v0)], ((p, route(p)) for p in points)):
+            holds = v == closed
+            rows_hold = rows_hold and holds
+            yield {"x": format_rational(x), "lhs": format_rational(v), "rhs": rhs,
+                   "holds": holds}
 
-    if args.x is not None:
-        params["x"] = first["x"]
     body: dict = {"results": results()}
     if trials == 1:
-        body["lhs"] = first["lhs"]
+        body["lhs"] = format_rational(v0)
     body["rhs"] = rhs
-    sym_holds = True
+    sym_holds = poly is None or poly == poly_const(closed)  # must collapse to the closed form
     if poly is not None:
-        sym_holds = poly == poly_const(closed)  # must collapse to the closed form
         body["symbolic"] = {"coefficients": format_poly(poly), "holds": sym_holds}
 
     def lines() -> Iterator[str]:
@@ -321,7 +314,7 @@ def _cmd_wilson(args: argparse.Namespace) -> int:
     fields = {"n": n, "residue": str(v.wilson_residue), "is_prime": v.is_prime,
               "oracle_agrees": v.oracle_agrees}
     line = f"wilson {_verdict_line(v)}"
-    return _report(args, "wilson", {"n": n}, fields, [line], v.oracle_agrees)
+    return _report(args, "wilson", {"n": n}, fields, [line], lambda: v.oracle_agrees)
 
 
 def _cmd_wilson_range(args: argparse.Namespace) -> int:
@@ -338,7 +331,7 @@ def _cmd_wilson_range(args: argparse.Namespace) -> int:
     if not args.json:
         agree = "all" if all_agree else "MISMATCH"
         print(f"primes={primes} composites={hi - lo + 1 - primes} oracle_agrees={agree}")
-        print(f"status: {'holds' if all_agree else 'violated'}")
+        print(f"status: {_status(all_agree)}")
     return 0 if all_agree else 1
 
 
@@ -360,7 +353,6 @@ def _cmd_congruence(args: argparse.Namespace) -> int:
                     exact_equal=lhs == expected)
     body["entries"] = ({"index": str(e.index), "residue": str(e.residue),
                         "expected": str(e.expected)} for e in report.entries)
-    params = {"kind": args.kind, "p": p}
 
     def lines() -> Iterator[str]:
         yield f"congruence {args.kind} p={p} modulus={modulus}"
@@ -369,7 +361,8 @@ def _cmd_congruence(args: argparse.Namespace) -> int:
                    f" equal={_b(body['exact_equal'])}")
         for e in body["entries"]:
             yield "i={index}: residue={residue} expected={expected}".format(**e)
-    return _report(args, f"congruence-{args.kind}", params, body, lines(), report.holds)
+    return _report(args, f"congruence-{args.kind}", {"kind": args.kind, "p": p}, body,
+                   lines(), lambda: report.holds)
 
 
 def _cmd_difftable(args: argparse.Namespace) -> int:
@@ -457,38 +450,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextmanager
-def _unlimited_int_digits() -> Iterator[None]:
-    """Lift CPython's int/str digit limit (3.10.7 and later) until exit.
-
-    n! passes the default 4300 digits from n = 1559 on, so printing a
-    result the checks confirmed would otherwise raise.  The old limit is
-    restored on exit, so in-process callers see no global change.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        yield
-        return
-    saved = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     # Arguments are parsed under the default limit, which keeps refusing numeric
-    # literals too long to convert cheaply; a refusal may quote a cost past it.
+    # literals too long to convert cheaply; a refusal may quote a cost past it.  The rest
+    # runs with CPython's int/str digit limit (3.10.7 on) lifted, as n! passes 4300 digits
+    # from n = 1559 on; finally restores it on every exit, so callers see no global change.
     args = build_parser().parse_args(argv)
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     try:
-        with _unlimited_int_digits():
-            budget = BUDGET._replace(n=getattr(args, "max_wilson", BUDGET.n))
-            for unit, spent, limit in zip(Cost._fields, args.cost(args), budget):
-                if spent > limit:  # refused before the handler does any work
-                    raise DomainError(_REFUSALS[unit].format(
-                        command=args.command, spent=spent, limit=limit))
-            code = args.handler(args)
+        set_limit(0)
+        budget = BUDGET._replace(n=getattr(args, "max_wilson", BUDGET.n))
+        for unit, spent, limit in zip(Cost._fields, args.cost(args), budget):
+            if spent > limit:  # refused before the handler does any work
+                raise DomainError(_REFUSALS[unit].format(
+                    command=args.command, spent=spent, limit=limit))
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except DomainError as exc:
@@ -499,3 +476,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         # final flush of what is still buffered cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    finally:
+        set_limit(saved)

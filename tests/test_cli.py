@@ -338,6 +338,35 @@ def test_results_past_the_int_digit_limit(capsys, argv, value):
         assert payload["exact_equal"] is True
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.10.7"
+)
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["identity", "--n", "3", "--x", "1"], 1),  # a violation, from the broken route below
+        (["identity", "--n", "-1", "--x", "1"], 2),  # a library DomainError
+        (["identity", "--n", "3", "--trials", "0"], 2),  # a CLI flag refusal
+        (["congruence", "fermat", "1000000007"], 2),  # a budget refusal
+    ],
+    ids=["violation", "library-refusal", "flag-refusal", "budget-refusal"],
+)
+def test_int_digit_limit_restored_on_every_exit(capsys, monkeypatch, argv, code):
+    seen = []
+
+    def broken(n, x):
+        seen.append(sys.get_int_max_str_digits())
+        return Fraction(0)
+
+    if code == 1:
+        monkeypatch.setattr(cli, "eval_difference_sum", broken)
+    with _int_digit_limit(4300):
+        assert cli.main(argv) == code
+        assert sys.get_int_max_str_digits() == 4300
+    assert seen == ([0] if code == 1 else [])  # lifted while the handler ran
+    assert capsys.readouterr().err.startswith("error: ") == (code == 2)
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "diffwilson", "wilson", "7"],
@@ -439,9 +468,52 @@ def test_identity_symbolic_violation_exits_1(capsys, monkeypatch):
     assert payload["status"] == "violated"
 
 
+def test_identity_symbolic_violation_text_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "symbolic_difference_poly", lambda n: ())
+    assert cli.main(["identity", "--n", "3", "--x", "1", "--symbolic"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "x=1/1: lhs=6/1 rhs=6/1 holds=true",
+        "symbolic: coefficients=[] holds=false",
+        "status: violated",
+    ]
+
+
 def test_lower_power_violation_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "eval_lower_power_sum", lambda n, j, x: Fraction(5))
     assert cli.main(["lower-power", "--n", "3", "--j", "1", "--x", "1"]) == 1
+
+
+LATER_ROW_FAILS = [
+    ("eval_difference_sum", ["identity", "--n", "4", "--trials", "5", "--seed", "1"]),
+    ("eval_lower_power_sum",
+     ["lower-power", "--n", "4", "--j", "2", "--trials", "5", "--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("route,argv", LATER_ROW_FAILS, ids=["identity", "lower-power"])
+def test_violation_in_a_later_row_exits_1(capsys, monkeypatch, route, argv, as_json):
+    # Only the third point is off by one, so a verdict settled from the first row
+    # alone, or from the last, would read holds.
+    real, calls = getattr(cli, route), []
+
+    def third_off_by_one(*args):
+        calls.append(args)
+        return real(*args) + (len(calls) == 3)
+
+    monkeypatch.setattr(cli, route, third_off_by_one)
+    assert cli.main(argv + ["--json"] * as_json) == 1
+    out = capsys.readouterr().out
+    assert len(calls) == 5
+    if as_json:
+        payload = json.loads(out)
+        assert [r["holds"] for r in payload["results"]] == [True, True, False, True, True]
+        assert list(payload)[-2:] == ["holds", "status"]
+        assert (payload["holds"], payload["status"]) == (False, "violated")
+    else:
+        assert out.count("holds=false") == 1
+        assert out.splitlines()[3].endswith("holds=false")
+        assert out.endswith("status: violated\n")
 
 
 def test_wilson_oracle_mismatch_exits_1(capsys, monkeypatch):

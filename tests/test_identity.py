@@ -133,6 +133,35 @@ def test_symbolic_expansion_above_degree_matches_oracle():
             assert poly == oracle_expansion(n, exponent)
 
 
+def stirling2_table(k_max, n_max):
+    # S[k][n], Stirling numbers of the second kind, by S(k, n) = n S(k-1, n) + S(k-1, n-1).
+    table = [[1] + [0] * n_max]
+    for _ in range(k_max):
+        prev = table[-1]
+        table.append([0] + [n * prev[n] + prev[n - 1] for n in range(1, n_max + 1)])
+    return table
+
+
+def test_symbolic_expansion_matches_stirling_closed_form():
+    # A third oracle, in closed form: the coefficient of X^(m-k) in
+    # sum_i (-1)^i C(n,i) (X - i)^m is (-1)^k C(m,k) M_k, where the moment
+    # M_k = sum_i (-1)^i C(n,i) i^k = (-1)^n n! S(k,n) (Graham, Knuth and Patashnik,
+    # Concrete Mathematics, eq. 6.19).  It covers exponents above n without expanding.
+    n_max, extra = 40, 6
+    stirling = stirling2_table(n_max + extra, n_max)
+    mismatches = []
+    for n in range(n_max + 1):
+        for m in range(n + extra + 1):
+            poly = _alternating_expansion(n, m)
+            coeffs = list(poly) + [0] * (m + 1 - len(poly))
+            expected = [0] * (m + 1)
+            for k, c_mk in enumerate(pascal_row(m)):
+                expected[m - k] = (-1) ** (n + k) * c_mk * math.factorial(n) * stirling[k][n]
+            if coeffs != expected:
+                mismatches.append((n, m))
+    assert mismatches == []
+
+
 def test_routes_return_fraction_coefficients():
     polys = [symbolic_difference_poly(n) for n in range(8)]
     polys += [symbolic_lower_power_poly(6, j) for j in range(1, 7)]
