@@ -27,8 +27,9 @@ rows, is --max-wilson) before the row's handler does any work.
 Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
 2 usage error, from argparse or any DomainError (every library, flag and
-budget refusal); 141 (128 + SIGPIPE) the reader closed stdout before the
-output ended, e.g. ``diffwilson wilson-range 2 200000 | head -2``.  (A
+budget refusal); 3 the report could not be written, e.g. stdout on a full
+device; 141 (128 + SIGPIPE) the reader closed stdout before the output ended,
+e.g. ``diffwilson wilson-range 2 200000 | head -2``.  (A
 "status": "error" payload value is reserved; usage errors are reported on
 stderr instead.)
 """
@@ -77,7 +78,7 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 DEFAULT_TRIALS = 10
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that hung up
-JSON_BATCH = 512  # leaf values per json.dumps call when a report writes a list
+JSON_BATCH = 512  # leaf values per json.dumps call when a report streams an array
 
 
 class Cost(NamedTuple):
@@ -168,28 +169,11 @@ def _status(holds: bool) -> str:
     return "holds" if holds else "violated"
 
 
-def _json_array(items: Iterable) -> Iterator[str]:
-    # A list or an iterator of JSON values, one json.dumps call per batch of about
-    # JSON_BATCH leaf values: a run of small items, or a single item as big as a batch.
-    import json  # here, not at the top: only a JSON report loads it
-
-    yield "["
-    sep, batch, leaves = "", [], 0
-    for item in items:
-        batch.append(item)
-        leaves += len(item) if isinstance(item, (list, dict)) else 1
-        if leaves >= JSON_BATCH:
-            yield sep + json.dumps(batch)[1:-1]
-            sep, batch, leaves = ", ", [], 0
-    if batch:
-        yield sep + json.dumps(batch)[1:-1]
-    yield "]"
-
-
 def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
     """One JSON object and its newline, in pieces: the text json.dumps gives for the
-    object, read from fields one at a time.  A value that is a list or an iterator is
-    written in batches (see _json_array), and every other value whole."""
+    object, read from fields one at a time.  A value that is an iterator is written as an
+    array, one json.dumps call per batch of about JSON_BATCH leaf values (a run of small
+    items, or a single item as big as a batch), and every other value whole."""
     import json  # here, not at the top: only a JSON report loads it
 
     yield "{"
@@ -197,10 +181,20 @@ def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
     for key, value in fields:
         yield f"{sep}{json.dumps(key)}: "
         sep = ", "
-        if isinstance(value, (list, Iterator)):
-            yield from _json_array(value)
-        else:
+        if not isinstance(value, Iterator):
             yield json.dumps(value)
+            continue
+        yield "["
+        comma, batch, leaves = "", [], 0
+        for item in value:
+            batch.append(item)
+            leaves += len(item) if isinstance(item, (list, dict)) else 1
+            if leaves >= JSON_BATCH:
+                yield comma + json.dumps(batch)[1:-1]
+                comma, batch, leaves = ", ", [], 0
+        if batch:
+            yield comma + json.dumps(batch)[1:-1]
+        yield "]"
     yield "}\n"
 
 
@@ -208,9 +202,9 @@ def _report(args: argparse.Namespace, check: str, params: dict, body: dict,
             lines: Iterable[str], holds: Callable[[], bool]) -> int:
     """Write one single-result report as it is produced and return its exit code.
 
-    body is the report's only record, written as JSON by _json_pieces; its lists and
-    iterators go out in bounded batches, so a reader that hangs up early sees a partial
-    object.  lines, a lazy view of body, is read only for text, one line at a time.
+    body is the report's only record, written as JSON by _json_pieces; its iterators go
+    out in bounded batches, so a reader that hangs up early sees a partial object.
+    lines, a lazy view of body, is read only for text, one line at a time.
     holds() is called only once the body is written, so a handler may settle the
     verdict from a column as that column streams past.
     """
@@ -453,13 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     # Arguments are parsed under the default limit, which keeps refusing numeric
     # literals too long to convert cheaply; a refusal may quote a cost past it.  The rest
-    # runs with CPython's int/str digit limit (3.10.7 on) lifted, as n! passes 4300 digits
-    # from n = 1559 on; finally restores it on every exit, so callers see no global change.
+    # runs with CPython's int/str digit limit lifted, as n! passes 4300 digits from
+    # n = 1559 on; finally restores it on every exit, so callers see no global change.
     args = build_parser().parse_args(argv)
-    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    saved = sys.get_int_max_str_digits()
     try:
-        set_limit(0)
+        sys.set_int_max_str_digits(0)
         budget = BUDGET._replace(n=getattr(args, "max_wilson", BUDGET.n))
         for unit, spent, limit in zip(Cost._fields, args.cost(args), budget):
             if spent > limit:  # refused before the handler does any work
@@ -471,10 +464,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so the interpreter's
-        # final flush of what is still buffered cannot raise again.
+    except OSError as exc:
+        # stdout could not be written: a closed pipe or a full device.  Point it at devnull
+        # so the interpreter's final flush of what is still buffered cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 3
     finally:
-        set_limit(saved)
+        sys.set_int_max_str_digits(saved)

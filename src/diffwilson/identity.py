@@ -24,7 +24,6 @@ n! or 0, which it computes once however many points it checks.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Iterator
 
 from . import exact
@@ -40,6 +39,7 @@ from .exact import (
 )
 
 if TYPE_CHECKING:
+    import random
     from fractions import Fraction
 
 __all__ = [

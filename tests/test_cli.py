@@ -312,9 +312,6 @@ def _int_digit_limit(limit):
         sys.set_int_max_str_digits(saved)
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.10.7"
-)
 @pytest.mark.parametrize(
     "argv,value",
     [
@@ -338,9 +335,6 @@ def test_results_past_the_int_digit_limit(capsys, argv, value):
         assert payload["exact_equal"] is True
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.10.7"
-)
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -416,6 +410,32 @@ def test_closed_pipe_mid_json_report_exits_141_without_traceback():
     assert head.startswith(b'{"schema_version": "1", "check": "difftable", "params": ')
     assert b"Traceback" not in stderr
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wilson", "5"],
+        ["wilson-range", "2", "5"],
+        ["difftable", "--degree", "2", "--points", "5", "--json"],
+    ],
+    ids=["wilson", "wilson-range", "difftable-json"],
+)
+def test_failed_write_exits_3_without_traceback(argv):
+    # Every write to /dev/full fails with ENOSPC: the report cannot be written, which is
+    # neither a violation (1) nor a closed pipe (141).
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffwilson", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
 
 
 BIG_REPORTS = [
