@@ -28,10 +28,10 @@ Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
 2 usage error, from argparse or any DomainError (every library, flag and
 budget refusal); 3 the report could not be written, e.g. stdout on a full
-device; 141 (128 + SIGPIPE) the reader closed stdout before the output ended,
-e.g. ``diffwilson wilson-range 2 200000 | head -2``.  (A
-"status": "error" payload value is reserved; usage errors are reported on
-stderr instead.)
+device or closed; 141 (128 + SIGPIPE) the reader closed stdout before the
+output ended, e.g. ``diffwilson wilson-range 2 200000 | head -2``.  An
+``error:`` line that cannot be written leaves code 2 or 3 as it is.  (A
+"status": "error" payload value is reserved; usage errors go to stderr.)
 """
 
 from __future__ import annotations
@@ -171,9 +171,10 @@ def _status(holds: bool) -> str:
 
 def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
     """One JSON object and its newline, in pieces: the text json.dumps gives for the
-    object, read from fields one at a time.  A value that is an iterator is written as an
-    array, one json.dumps call per batch of about JSON_BATCH leaf values (a run of small
-    items, or a single item as big as a batch), and every other value whole."""
+    object, read from fields one at a time.  A callable value is called when it is reached,
+    so it may read what the iterators before it settled.  A value that is an iterator is
+    written as an array, one json.dumps call per batch of about JSON_BATCH leaf values (a
+    run of small items, or a single item as big as a batch), and every other value whole."""
     import json  # here, not at the top: only a JSON report loads it
 
     yield "{"
@@ -181,6 +182,8 @@ def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
     for key, value in fields:
         yield f"{sep}{json.dumps(key)}: "
         sep = ", "
+        if callable(value):
+            value = value()
         if not isinstance(value, Iterator):
             yield json.dumps(value)
             continue
@@ -199,29 +202,26 @@ def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
 
 
 def _report(args: argparse.Namespace, check: str, params: dict, body: dict,
-            lines: Iterable[str], holds: Callable[[], bool]) -> int:
-    """Write one single-result report as it is produced and return its exit code.
+            lines: Iterable[str], holds: Callable[[], bool]) -> bool:
+    """Write one single-result report as it is produced and return its verdict.
 
     body is the report's only record, written as JSON by _json_pieces; its iterators go
     out in bounded batches, so a reader that hangs up early sees a partial object.
     lines, a lazy view of body, is read only for text, one line at a time.
     holds() is called only once the body is written, so a handler may settle the
-    verdict from a column as that column streams past.
+    verdict from a column as that column streams past; main maps it to exit 0 or 1.
     """
     if args.json:
-        def fields() -> Iterator[tuple[str, object]]:
-            yield from {"schema_version": SCHEMA_VERSION, "check": check,
-                        "params": params}.items()
-            yield from body.items()
-            yield from {"holds": holds(), "status": _status(holds())}.items()
-        sys.stdout.writelines(_json_pieces(fields()))
+        record = {"schema_version": SCHEMA_VERSION, "check": check, "params": params,
+                  **body, "holds": holds, "status": lambda: _status(holds())}
+        sys.stdout.writelines(_json_pieces(record.items()))
     else:
         sys.stdout.writelines(f"{line}\n" for line in lines)
-        print(f"status: {_status(holds())}")
-    return 0 if holds() else 1
+        sys.stdout.write(f"status: {_status(holds())}\n")
+    return holds()
 
 
-def _cmd_sum(args: argparse.Namespace) -> int:
+def _cmd_sum(args: argparse.Namespace) -> bool:
     """identity and lower-power; the text header names every param except x.
 
     The rows are evaluated and written one at a time, by one generator.  The first
@@ -302,7 +302,7 @@ def _verdict_json(v: PrimalityVerdict) -> str:
             f' "oracle_agrees": {_b(v.oracle_agrees)}}}')
 
 
-def _cmd_wilson(args: argparse.Namespace) -> int:
+def _cmd_wilson(args: argparse.Namespace) -> bool:
     v = wilson_test(args.n)
     n = str(v.n)
     fields = {"n": n, "residue": str(v.wilson_residue), "is_prime": v.is_prime,
@@ -311,7 +311,7 @@ def _cmd_wilson(args: argparse.Namespace) -> int:
     return _report(args, "wilson", {"n": n}, fields, [line], lambda: v.oracle_agrees)
 
 
-def _cmd_wilson_range(args: argparse.Namespace) -> int:
+def _cmd_wilson_range(args: argparse.Namespace) -> bool:
     lo, hi = args.lo, args.hi
     if hi < lo:
         raise DomainError(f"empty range: {lo}..{hi}")
@@ -321,12 +321,12 @@ def _cmd_wilson_range(args: argparse.Namespace) -> int:
     for v in wilson_sweep(lo, hi):
         primes += v.is_prime
         all_agree = all_agree and v.oracle_agrees
-        print(render(v))
+        sys.stdout.write(f"{render(v)}\n")
     if not args.json:
         agree = "all" if all_agree else "MISMATCH"
-        print(f"primes={primes} composites={hi - lo + 1 - primes} oracle_agrees={agree}")
-        print(f"status: {_status(all_agree)}")
-    return 0 if all_agree else 1
+        sys.stdout.write(f"primes={primes} composites={hi - lo + 1 - primes}"
+                         f" oracle_agrees={agree}\nstatus: {_status(all_agree)}\n")
+    return all_agree
 
 
 _CONGRUENCE_KINDS = {
@@ -337,7 +337,7 @@ _CONGRUENCE_KINDS = {
 }
 
 
-def _cmd_congruence(args: argparse.Namespace) -> int:
+def _cmd_congruence(args: argparse.Namespace) -> bool:
     report = _CONGRUENCE_KINDS[args.kind](args.p)
     p, modulus = str(args.p), str(report.modulus)
     body: dict = {"modulus": modulus}
@@ -359,7 +359,7 @@ def _cmd_congruence(args: argparse.Namespace) -> int:
                    lines(), lambda: report.holds)
 
 
-def _cmd_difftable(args: argparse.Namespace) -> int:
+def _cmd_difftable(args: argparse.Namespace) -> bool:
     degree, points = args.degree, args.points
     table = difference_table(degree, points)  # refuses a bad degree or points here
     expected = factorial(degree)
@@ -458,19 +458,25 @@ def main(argv: Sequence[str] | None = None) -> int:
             if spent > limit:  # refused before the handler does any work
                 raise DomainError(_REFUSALS[unit].format(
                     command=args.command, spent=spent, limit=limit))
-        code = args.handler(args)
+        if sys.stdout is None:  # fd 1 was closed before the run started
+            raise OSError("stdout is closed")
+        holds = args.handler(args)
         sys.stdout.flush()
-        return code
+        return 0 if holds else 1
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, exc
     except OSError as exc:
-        # stdout could not be written: a closed pipe or a full device.  Point it at devnull
-        # so the interpreter's final flush of what is still buffered cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout is closed or could not be written: a closed pipe or a full device.  Point
+        # it at devnull so the interpreter's final flush of what is buffered cannot raise.
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return EXIT_BROKEN_PIPE
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"cannot write the report: {exc}"
     finally:
         sys.set_int_max_str_digits(saved)
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # stderr cannot be written either; the code alone tells
+        pass
+    return code

@@ -6,12 +6,14 @@ derivative) exist so the tests can state ring laws and build independent
 expansions to compare against.  ``derivative_collapse_check`` uses them to
 cross-check the two symbolic routes by differentiation, and
 ``backward_difference`` gives the operator-side view of the alternating sum:
-its n-fold application to X^n must equal the symbolic expansion.
+its n-fold application to X^n must equal the symbolic expansion.  It shifts
+by its own additions-only Taylor shift, not by ``exact.poly_shift`` and
+``exact.poly_axpy``, so that check shares no arithmetic with the route.
 """
 
 from fractions import Fraction
 
-from diffwilson.exact import POLY_ZERO, DomainError, poly_axpy, poly_shift
+from diffwilson.exact import POLY_ZERO, DomainError, poly_axpy
 from diffwilson.identity import symbolic_difference_poly, symbolic_lower_power_poly
 
 POLY_ONE = (1,)
@@ -71,6 +73,19 @@ def poly_eval(p, x):
     return acc
 
 
+def _shift_down(p):
+    """Coefficients of p(X-1), by repeated synthetic division by X+1.
+
+    Pass k leaves p's coefficient on (X+1)**k at index k, which is the coefficient
+    of X**k in p(X-1).  Subtractions only: no product is formed.
+    """
+    out = list(p)
+    for k in range(len(out) - 1):
+        for i in range(len(out) - 2, k - 1, -1):
+            out[i] -= out[i + 1]
+    return out
+
+
 def backward_difference(p, order):
     """order-fold backward difference, where (del p)(X) = p(X) - p(X-1).
 
@@ -79,8 +94,8 @@ def backward_difference(p, order):
     if order < 0:
         raise DomainError(f"order must be non-negative, got {order}")
     for _ in range(order):
-        p = poly_axpy(-1, poly_shift(p, -1), p)
-    return tuple(Fraction(c) for c in p)
+        p = [a - b for a, b in zip(p, _shift_down(p))]
+    return poly_from_coeffs(p)
 
 
 def derivative_collapse_check(n, j):

@@ -151,6 +151,23 @@ def test_json_pieces_match_one_json_dumps(fields):
     assert text == json.dumps({k: v for k, v, _ in fields}) + "\n"
 
 
+def test_json_pieces_calls_a_callable_once_the_iterator_before_it_is_exhausted():
+    # _report's verdict fields are callables that read what the columns before them settled.
+    seen = []
+
+    def column():
+        yield from (1, 2)
+        seen.append("exhausted")
+
+    def verdict():
+        seen.append("called")
+        return len(seen)
+
+    text = "".join(cli._json_pieces([("column", column()), ("holds", verdict)]))
+    assert seen == ["exhausted", "called"]
+    assert text == '{"column": [1, 2], "holds": 2}\n'
+
+
 @pytest.mark.parametrize(
     "argv,row",
     [
@@ -412,16 +429,16 @@ def test_closed_pipe_mid_json_report_exits_141_without_traceback():
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
 
 
+UNWRITTEN_REPORTS = [
+    ["wilson", "5"],
+    ["wilson-range", "2", "5"],
+    ["difftable", "--degree", "2", "--points", "5", "--json"],
+]
+UNWRITTEN_IDS = ["wilson", "wilson-range", "difftable-json"]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["wilson", "5"],
-        ["wilson-range", "2", "5"],
-        ["difftable", "--degree", "2", "--points", "5", "--json"],
-    ],
-    ids=["wilson", "wilson-range", "difftable-json"],
-)
+@pytest.mark.parametrize("argv", UNWRITTEN_REPORTS, ids=UNWRITTEN_IDS)
 def test_failed_write_exits_3_without_traceback(argv):
     # Every write to /dev/full fails with ENOSPC: the report cannot be written, which is
     # neither a violation (1) nor a closed pipe (141).
@@ -436,6 +453,41 @@ def test_failed_write_exits_3_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
+@pytest.mark.parametrize("argv", UNWRITTEN_REPORTS, ids=UNWRITTEN_IDS)
+def test_closed_stdout_exits_3_without_traceback(argv):
+    # With fd 1 closed, sys.stdout is None: nothing can be written, so nothing is computed.
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffwilson", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write the report: stdout is closed\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
+@pytest.mark.parametrize(
+    "argv,stdout_full,code",
+    [
+        (["wilson", "1"], False, 2),
+        (["congruence", "binom", "9"], False, 2),
+        (["wilson", "5"], True, 3),
+    ],
+    ids=["wilson-refused", "congruence-refused", "wilson-both-full"],
+)
+def test_unwritable_stderr_keeps_the_exit_code(argv, stdout_full, code):
+    # The error line cannot be written either; the code alone must still tell.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffwilson", *argv],
+            stdout=full if stdout_full else subprocess.DEVNULL,
+            stderr=full,
+        )
+    assert proc.returncode == code
 
 
 BIG_REPORTS = [
