@@ -27,24 +27,26 @@ rows, is --max-wilson) before the row's handler does any work.
 Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
 2 usage error, from argparse or any DomainError (every library, flag and
-budget refusal); 3 the report could not be written, e.g. stdout on a full
-device or closed; 141 (128 + SIGPIPE) the reader closed stdout before the
-output ended, e.g. ``diffwilson wilson-range 2 200000 | head -2``.  An
-``error:`` line that cannot be written leaves code 2 or 3 as it is.  (A
-"status": "error" payload value is reserved; usage errors go to stderr.)
+budget refusal); 3 the report, or the --help text, could not be written,
+e.g. stdout on a full device or closed; 141 (128 + SIGPIPE) the reader
+closed stdout before the output ended, e.g.
+``diffwilson wilson-range 2 200000 | head -2``.  An ``error:`` line that
+cannot be written leaves code 2 or 3 as it is.  (A "status": "error"
+payload value is reserved; usage errors go to stderr.)
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import random
 import sys
+from contextlib import redirect_stdout
 from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import exact
 from .exact import (
     DomainError,
     factorial,
@@ -258,7 +260,7 @@ def _cmd_sum(args: argparse.Namespace) -> bool:
     x0 = next(points)
     v0 = route(x0)  # refuses a bad n or j
     poly = symbolic() if args.symbolic else None
-    closed = exact.Fraction(closed_form())  # once the routes have refused a negative n
+    closed = closed_form()  # once the routes have refused a negative n
     rhs = format_rational(closed)
     rows_hold = True  # settled as the rows pass
 
@@ -449,7 +451,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     # literals too long to convert cheaply; a refusal may quote a cost past it.  The rest
     # runs with CPython's int/str digit limit lifted, as n! passes 4300 digits from
     # n = 1559 on; finally restores it on every exit, so callers see no global change.
-    args = build_parser().parse_args(argv)
+    # argparse prints --help itself and exits 0; it is caught here and written by main
+    # like a report that holds, so a help that cannot be written exits 3 too.
+    shown = io.StringIO()
+    try:
+        with redirect_stdout(shown):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error, which argparse has written to stderr
+            raise
+        args = argparse.Namespace(cost=lambda _: Cost(),
+                                  handler=lambda _: sys.stdout.write(shown.getvalue()) >= 0)
     saved = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)
@@ -477,6 +489,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(saved)
     try:
         print(f"error: {message}", file=sys.stderr)
-    except OSError:  # stderr cannot be written either; the code alone tells
-        pass
+    except OSError:
+        # stderr cannot be written either, so the code alone tells.  devnull takes what is
+        # buffered, or the interpreter's final flush would fail again and exit 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     return code

@@ -150,8 +150,6 @@ def monomial(n: int) -> Poly:
 
 def poly_axpy(a: Fraction | int, p: Poly, q: Poly) -> Poly:
     """a*p + q, coefficientwise, in the ring of a, p and q (int in, int out)."""
-    if not a:
-        return q
     out = list(q) + [0] * (len(p) - len(q))
     for k, c in enumerate(p):
         out[k] += a * c

@@ -251,9 +251,7 @@ def power_sum_mod(p: int) -> CongruenceReport:
     For genuine odd primes both sides equal p-1: the sum is p-1 ones.
     """
     _require_odd_prime(p)
-    total = 0
-    for i in range(p):
-        total = (total + mod_pow(i, p - 1, p)) % p
+    total = sum(mod_pow(i, p - 1, p) for i in range(p)) % p
     entries = (CongruenceEntry(p - 1, total, factorial_mod(p - 1, p)),)
     return _congruence(p, entries)
 

@@ -469,8 +469,7 @@ def test_closed_stdout_exits_3_without_traceback(argv):
     assert proc.stderr == "error: cannot write the report: stdout is closed\n"
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
-@pytest.mark.parametrize(
+STDERR_FULL = pytest.mark.parametrize(
     "argv,stdout_full,code",
     [
         (["wilson", "1"], False, 2),
@@ -479,15 +478,72 @@ def test_closed_stdout_exits_3_without_traceback(argv):
     ],
     ids=["wilson-refused", "congruence-refused", "wilson-both-full"],
 )
-def test_unwritable_stderr_keeps_the_exit_code(argv, stdout_full, code):
-    # The error line cannot be written either; the code alone must still tell.
+
+
+def _buffered_env():
+    """The environment without PYTHONUNBUFFERED: a failed write then fails again at exit."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _exit_code_with_stderr_full(argv, stdout_full, env=None):
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "diffwilson", *argv],
             stdout=full if stdout_full else subprocess.DEVNULL,
             stderr=full,
-        )
-    assert proc.returncode == code
+            env=env,
+        ).returncode
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
+@STDERR_FULL
+def test_unwritable_stderr_keeps_the_exit_code(argv, stdout_full, code):
+    # The error line cannot be written either; the code alone must still tell.
+    assert _exit_code_with_stderr_full(argv, stdout_full) == code
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
+@STDERR_FULL
+def test_unwritable_buffered_stderr_keeps_the_exit_code(argv, stdout_full, code):
+    assert _exit_code_with_stderr_full(argv, stdout_full, _buffered_env()) == code
+
+
+def _help_texts():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [([], parser.format_help())] + [
+        ([name], p.format_help()) for name, p in sub.choices.items()]
+
+
+def test_help_is_written_by_main(capsys):
+    for prefix, text in _help_texts():
+        assert cli.main([*prefix, "--help"]) == 0, prefix
+        assert capsys.readouterr() == (text, ""), prefix
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_unwritable_help_exits_3(unbuffered):
+    # Unbuffered, the write itself fails; buffered, the flush after it does.
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "diffwilson", "--help"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: cannot write the report: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
+def test_help_to_closed_stdout_exits_3():
+    # argparse alone would print the help to stderr instead and exit 0.
+    proc = subprocess.run([sys.executable, "-m", "diffwilson", "--help"],
+                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write the report: stdout is closed\n"
 
 
 BIG_REPORTS = [
@@ -853,9 +909,16 @@ def _never(*args):
     raise AssertionError("work started on a request over budget")
 
 
-@pytest.mark.parametrize("argv", OVER_BUDGET + OVER_BUDGET_SWEEPS,
-                         ids=[" ".join(a) for a in OVER_BUDGET + OVER_BUDGET_SWEEPS])
-def test_over_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
+class _Started(Exception):
+    """Raised by a stubbed library entry point: main let the request through."""
+
+
+def _started(*args):
+    raise _Started
+
+
+def _stub_entry_points(monkeypatch, stub):
+    # Every library call a handler makes first, so stub runs before any work does.
     for name in (
         "sample_rationals",
         "eval_difference_sum",
@@ -866,9 +929,15 @@ def test_over_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
         "wilson_test",
         "wilson_sweep",
     ):
-        monkeypatch.setattr(cli, name, _never)
+        monkeypatch.setattr(cli, name, stub)
     for kind in cli._CONGRUENCE_KINDS:
-        monkeypatch.setitem(cli._CONGRUENCE_KINDS, kind, _never)
+        monkeypatch.setitem(cli._CONGRUENCE_KINDS, kind, stub)
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET + OVER_BUDGET_SWEEPS,
+                         ids=[" ".join(a) for a in OVER_BUDGET + OVER_BUDGET_SWEEPS])
+def test_over_budget_is_refused_before_any_work(capsys, monkeypatch, argv):
+    _stub_entry_points(monkeypatch, _never)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -894,11 +963,12 @@ ADMITTED = [
 
 
 @pytest.mark.parametrize("argv", ADMITTED, ids=[" ".join(a) for a in ADMITTED])
-def test_requests_in_use_are_within_budget(argv):
-    args = cli.build_parser().parse_args(argv)
-    budget = cli.BUDGET._replace(n=getattr(args, "max_wilson", cli.BUDGET.n))
-    cost = args.cost(args)
-    assert all(spent <= limit for spent, limit in zip(cost, budget)), (cost, budget)
+def test_requests_in_use_are_within_budget(capsys, monkeypatch, argv):
+    # main's own budget rule admits the request: its handler reaches the library.
+    _stub_entry_points(monkeypatch, _started)
+    with pytest.raises(_Started):
+        cli.main(argv)
+    assert capsys.readouterr().err == ""
 
 
 FLAGS = {
