@@ -162,8 +162,6 @@ def poly_shift(p: Poly, c: Fraction | int) -> Poly:
     Computed in the ring of p and c: int coefficients shifted by an int stay
     int (int in, int out).
     """
-    if not c or len(p) <= 1:
-        return p
     out = [0] * len(p)
     for k, a in enumerate(p):
         if not a:

@@ -24,6 +24,7 @@ n! or 0, which it computes once however many points it checks.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator
 
 from . import exact
@@ -127,8 +128,8 @@ def difference_table(degree: int, points: int) -> Iterator[list[int]]:
     differences of column m, so column m has points - m entries.  Column
     `degree` is constant factorial(degree).
 
-    A bad degree or point count is refused at the call.  The columns come
-    back as an iterator and each is built when it is read, so a reader that
+    A bad degree or point count is refused at the call, which also builds
+    column 0; each later column is built when it is read, so a reader that
     drops every column once it is done with it holds at most two.
     """
     if degree < 0:
@@ -137,15 +138,8 @@ def difference_table(degree: int, points: int) -> Iterator[list[int]]:
         raise DomainError(
             f"need at least degree+1 sample points, got points={points} for degree={degree}"
         )
-    return _difference_columns(degree, points)
-
-
-def _difference_columns(degree: int, points: int) -> Iterator[list[int]]:
-    col = [x**degree for x in range(points)]
-    yield col
-    for _ in range(degree):
-        col = [b - a for a, b in zip(col, col[1:])]
-        yield col
+    return accumulate(range(degree), lambda c, _: [b - a for a, b in zip(c, c[1:])],
+                      initial=[x**degree for x in range(points)])
 
 
 def sample_rationals(rng: random.Random, count: int) -> Iterator[Fraction]:

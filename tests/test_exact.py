@@ -222,6 +222,13 @@ def test_poly_shift_examples():
     assert poly_shift(monomial(2), -1) == poly_from_coeffs([1, -2, 1])
     assert poly_shift(monomial(2), 0) == monomial(2)
     assert poly_shift(poly_const(5), 3) == poly_const(5)
+    assert poly_shift(POLY_ZERO, 7) == POLY_ZERO
+    # The general loop covers a zero shift and a constant, in the ring of the inputs.
+    p = (Fraction(1, 3), Fraction(1, 2))
+    assert poly_shift(p, 0) == poly_shift(p, Fraction(0)) == p
+    assert poly_shift((Fraction(3, 2),), Fraction(-5, 7)) == (Fraction(3, 2),)
+    out = poly_shift((2, 0, 1), 0)
+    assert out == (2, 0, 1) and all(type(c) is int for c in out)
     out = poly_shift((0, 0, 1), -2)
     assert out == (4, -4, 1) and all(type(c) is int for c in out)
     # (X + 1/2)**2 from int coefficients; (X - 1)/2 from a Fraction one.

@@ -232,6 +232,10 @@ def test_difference_table_constant_column():
         assert len(cols) == degree + 1
         assert all(len(cols[m]) == degree + 4 - m for m in range(degree + 1))
         assert cols[degree] == [factorial(degree)] * 4
+        # The shortest table, points = degree + 1, ends in the single entry degree!.
+        cols = list(difference_table(degree, degree + 1))
+        assert [len(col) for col in cols] == list(range(degree + 1, 0, -1))
+        assert cols[-1] == [factorial(degree)]
 
 
 def test_difference_table_rejects_short_sample():

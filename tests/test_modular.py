@@ -263,7 +263,13 @@ def test_wilson_sweep_consults_trial_division_for_every_n(monkeypatch):
 
 
 def test_wilson_sweep_narrow_high_range():
+    # 11 factors near 10**6 leave the prefix on the per-factor path; 32 make its
+    # modulus wide enough for the blocked one, the case the blocking exists for.
     _assert_sweep_matches_primitives(999990, 1000000)
+    lo, hi = 999000, 999031
+    k = math.prod(range(lo, hi + 1)).bit_length() // (lo - 1).bit_length()
+    assert k >= modular._BLOCK_MIN
+    _assert_sweep_matches_primitives(lo, hi)
 
 
 def test_wilson_sweep_empty_range_and_bad_start():
