@@ -315,8 +315,6 @@ def _cmd_wilson(args: argparse.Namespace) -> bool:
 
 def _cmd_wilson_range(args: argparse.Namespace) -> bool:
     lo, hi = args.lo, args.hi
-    if hi < lo:
-        raise DomainError(f"empty range: {lo}..{hi}")
     render = _verdict_json if args.json else _verdict_line
     primes = 0
     all_agree = True

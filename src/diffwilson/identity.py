@@ -1,4 +1,4 @@
-"""Alternating difference-sum identities, checked two independent ways.
+"""Alternating difference-sum identities, checked two ways.
 
 The central object is the alternating sum
 
@@ -6,11 +6,11 @@ The central object is the alternating sum
 
 which collapses to the constant n! for every n >= 0, independent of x.
 Lowering the exponent to n - j for any 1 <= j <= n makes the same sum
-vanish identically.  Each identity is checked along two routes that share
-nothing beyond the exact core: literal pointwise evaluation, and symbolic
-expansion into a polynomial whose coefficients must cancel.  A
-disagreement between the routes can only be an implementation bug, never
-rounding.
+vanish identically.  Each identity is checked along two routes: literal pointwise
+evaluation, and symbolic expansion into a polynomial whose coefficients must cancel.
+Both use ``binomial_row``: pointwise for the weights, symbolically inside ``poly_shift``,
+where the alternating sum cancels a wrong entry, so only the pointwise route catches one.
+A disagreement between the routes can only be an implementation bug, never rounding.
 
 Both routes run on the integer lattice and convert to Fraction once, when
 the result is returned.  Pointwise, x = a/b makes each term

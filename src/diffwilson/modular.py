@@ -11,8 +11,8 @@ Residues are always normalized to [0, m), so every congruence check is a
 plain equality of canonical representatives, and ``_congruence`` derives
 every report's verdict from its entries and any exact values it carries.
 Results are immutable NamedTuples; ``mod_pow`` is the built-in ``pow``
-behind two refusals.  Trial division serves as the independent primality
-oracle throughout.
+behind two refusals.  ``smallest_divisor``, by trial division, serves as the
+independent primality oracle throughout.
 
 ``wilson_sweep`` gives the factorial residue of every n in a range from one
 accumulating remainder tree, walked depth first by recursion; ``wilson_test``
@@ -40,7 +40,6 @@ __all__ = [
     "mod_pow",
     "power_sum_mod",
     "smallest_divisor",
-    "trial_division",
     "wilson_sweep",
     "wilson_test",
 ]
@@ -135,11 +134,6 @@ def smallest_divisor(n: int) -> int | None:
     return None
 
 
-def trial_division(n: int) -> bool:
-    """True iff n >= 2 has no divisor d with 2 <= d <= sqrt(n)."""
-    return smallest_divisor(n) is None
-
-
 def _descend(levels: list, depth: int, i: int, f: int) -> Iterator[int]:
     """Left to right, the residues at the leaves below node i of levels[depth], given f."""
     if not depth:
@@ -160,11 +154,11 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
     top-down from f = (lo-1)! mod prod(lo..hi), a node over a..b receives
     (a-1)! mod prod(a..b): its left child f % prod(left) and its right child
     f * prod(left) % prod(right), so each leaf n receives (n-1)! mod n.  No
-    n is skipped, prime or composite, and trial division checks every one.
+    n is skipped, prime or composite, and smallest_divisor checks every one.
     The walk recurses depth-first, left subtree before right, and computes a
     right child only once the left subtree is exhausted, so verdicts stream
     in ascending order and the first does not wait for the large reductions
-    at the top.
+    at the top.  The first next() refuses an empty range (hi < lo), then lo < 2.
 
     Costs factorial_mod(lo-1, prod(lo..hi)) first, at most lo-2 multiplications and
     fewer once prod(lo..hi) divides (lo-1)! (factorial_mod(1, m) = 1 when lo = 2).  The
@@ -173,12 +167,12 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
     schoolbook, so the reductions at the top of the tree, and a sweep from 2, still take
     time quadratic in the width of the range: 2..10**4 took 0.06 s, 2..5*10**4 1.0 s.
     """
+    if hi < lo:
+        raise DomainError(f"empty range: {lo}..{hi}")
     if lo < 2:
         raise DomainError(
             f"wilson test needs n >= 2 (at least 2, so a range must start at 2), got {lo}"
         )
-    if hi < lo:
-        return
     levels = [list(range(lo, hi + 1))]  # the leaves, then pairwise products up to the root
     while len(levels[-1]) > 1:
         row = levels[-1]
@@ -190,7 +184,7 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
             n=n,
             wilson_residue=f,
             is_prime=is_prime,
-            oracle_agrees=is_prime == trial_division(n),
+            oracle_agrees=is_prime == (smallest_divisor(n) is None),
         )
 
 
@@ -199,7 +193,7 @@ def wilson_test(n: int) -> PrimalityVerdict:
 
     The residue equals n-1 exactly for primes, so this is a complete (if slow: n-2
     multiplications for a prime n, about S(n)-1 for a composite, see factorial_mod)
-    primality test; oracle_agrees records whether trial division reaches the same
+    primality test; oracle_agrees records whether smallest_divisor reaches the same
     verdict.  It is the one-element wilson_sweep, whose prefix is factorial_mod(n-1, n).
     """
     return next(wilson_sweep(n, n))

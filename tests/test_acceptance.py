@@ -34,7 +34,7 @@ from diffwilson.modular import (
     fermat_check,
     identity_at_zero_mod,
     power_sum_mod,
-    trial_division,
+    smallest_divisor,
     wilson_sweep,
     wilson_test,
 )
@@ -142,7 +142,7 @@ def test_criterion_5_wilson_sweep():
 
 def test_criterion_6_congruence_chain():
     t0 = time.perf_counter()
-    ps = [p for p in range(2, 2001) if trial_division(p)]
+    ps = [p for p in range(2, 2001) if smallest_divisor(p) is None]
     ok = all(binomial_row_mod(p).holds and fermat_check(p).holds for p in ps)
     for p in ps[1:]:
         r = power_sum_mod(p)
@@ -165,7 +165,7 @@ def test_criterion_7_cross_module_consistency():
     t0 = time.perf_counter()
     ok = True
     for p in range(3, 201, 2):
-        if not trial_division(p):
+        if smallest_divisor(p) is not None:
             continue
         literal = sum((-1) ** i * math.comb(p - 1, i) * (-i) ** (p - 1) for i in range(p))
         ok = ok and alternating_power_sum_at_zero(p) == literal

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffwilson import cli, identity, modular
+from diffwilson import cli, exact, identity, modular
 from diffwilson.exact import DomainError, parse_rational
 from diffwilson.modular import PrimalityVerdict
 
@@ -213,7 +213,7 @@ def _per_n_wilson_range(lo, hi, as_json):
     lines, primes = [], 0
     for n in range(lo, hi + 1):
         residue = math.factorial(n - 1) % n
-        is_prime = modular.trial_division(n)
+        is_prime = modular.smallest_divisor(n) is None
         assert (residue == n - 1) == is_prime
         primes += is_prime
         if as_json:
@@ -602,6 +602,28 @@ def test_identity_symbolic_violation_text_exits_1(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[1:] == [
         "x=1/1: lhs=6/1 rhs=6/1 holds=true",
         "symbolic: coefficients=[] holds=false",
+        "status: violated",
+    ]
+
+
+def test_binomial_row_fault_is_caught_pointwise_only(capsys, monkeypatch):
+    # Both routes use binomial_row: pointwise for the weights, symbolically inside
+    # poly_shift.  There a wrong C(m, 1) scales a term in i^(m-1), which the alternating
+    # sum cancels, so only the pointwise route, against the closed form n!, catches it.
+    correct = exact.binomial_row
+
+    def faulty(m):
+        row = correct(m)
+        if m > 2:
+            row[1] += 1
+        return row
+
+    monkeypatch.setattr(exact, "binomial_row", faulty)
+    monkeypatch.setattr(identity, "binomial_row", faulty)
+    assert cli.main(["identity", "--n", "4", "--x", "3", "--symbolic"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "x=3/1: lhs=8/1 rhs=24/1 holds=false",
+        "symbolic: coefficients=[24/1] holds=true",
         "status: violated",
     ]
 

@@ -19,7 +19,6 @@ from diffwilson.modular import (
     mod_pow,
     power_sum_mod,
     smallest_divisor,
-    trial_division,
     wilson_sweep,
     wilson_test,
 )
@@ -169,7 +168,7 @@ def test_smallest_divisor_values():
 
 def test_trial_division_matches_sieve():
     for n in range(2, 2001):
-        assert trial_division(n) == PRIME[n]
+        assert (smallest_divisor(n) is None) == PRIME[n]
 
 
 def test_smallest_divisor_is_minimal_and_divides():
@@ -214,7 +213,7 @@ def _assert_sweep_matches_primitives(lo, hi):
     assert [v.n for v in verdicts] == list(range(lo, hi + 1))
     for v in verdicts:
         assert v.wilson_residue == factorial_mod(v.n - 1, v.n)
-        assert v.is_prime == trial_division(v.n)
+        assert v.is_prime == (smallest_divisor(v.n) is None)
         assert v.oracle_agrees
 
 
@@ -254,9 +253,9 @@ def test_wilson_sweep_consults_trial_division_for_every_n(monkeypatch):
 
     def lying_oracle(n):
         asked.append(n)
-        return not PRIME[n]
+        return n if PRIME[n] else None
 
-    monkeypatch.setattr(modular, "trial_division", lying_oracle)
+    monkeypatch.setattr(modular, "smallest_divisor", lying_oracle)
     verdicts = list(wilson_sweep(2, 50))
     assert asked == list(range(2, 51))
     assert not any(v.oracle_agrees for v in verdicts)
@@ -273,7 +272,8 @@ def test_wilson_sweep_narrow_high_range():
 
 
 def test_wilson_sweep_empty_range_and_bad_start():
-    assert list(wilson_sweep(7, 6)) == []
+    with pytest.raises(DomainError, match=r"empty range: 7\.\.6"):
+        next(wilson_sweep(7, 6))
     with pytest.raises(DomainError, match="n >= 2"):
         next(wilson_sweep(1, 5))
 
