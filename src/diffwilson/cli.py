@@ -43,8 +43,8 @@ import os
 import random
 import sys
 from contextlib import redirect_stdout
-from functools import partial
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, tee
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import (
@@ -361,30 +361,24 @@ def _cmd_congruence(args: argparse.Namespace) -> bool:
 
 def _cmd_difftable(args: argparse.Namespace) -> bool:
     degree, points = args.degree, args.points
-    table = difference_table(degree, points)  # refuses a bad degree or points here
+    cols = difference_table(degree, points)  # refuses a bad degree or points here
     expected = factorial(degree)
-    holds = False  # settled as column `degree` passes; a table without one never holds
+    cols[-1], last = tee(cols[-1])  # the verdict's own copy of column `degree`
 
-    def checked() -> Iterator[list[int]]:
-        nonlocal holds
-        for m, col in enumerate(table):
-            if m == degree:
-                holds = all(v == expected for v in col)
-            yield col
+    @cache  # settled once, after the report; a table of another width never holds
+    def holds() -> bool:
+        return len(cols) == degree + 1 and all(v == expected for v in last)
 
-    # JSON writes each column's strings as they are made; text reads the table by rows.
-    cols = (list(map(str, col)) for col in checked()) if args.json else list(checked())
     d, pts, constant = str(degree), str(points), str(expected)
-    body = {"columns": cols, "constant_column": d, "constant_value": constant}
+    body = {"columns": (list(map(str, col)) for col in cols), "constant_column": d,
+            "constant_value": constant}
 
     def lines() -> Iterator[str]:
         yield f"difftable degree={d} points={pts}"
         for x in range(points):
-            row = [str(cols[m][x - m]) for m in range(min(x, degree) + 1)]
-            yield f"x={x}: " + " ".join(row)
-        yield f"column {d}: expected={constant} holds={_b(holds)}"
-    return _report(args, "difftable", {"degree": d, "points": pts}, body, lines(),
-                   lambda: holds)
+            yield f"x={x}: " + " ".join(str(next(col)) for col in cols[:x + 1])
+        yield f"column {d}: expected={constant} holds={_b(holds())}"
+    return _report(args, "difftable", {"degree": d, "points": pts}, body, lines(), holds)
 
 
 def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
@@ -444,6 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(fd: int) -> None:
+    """Point fd at devnull, so the interpreter's final flush of what is buffered cannot
+    fail again (and exit 120); the devnull descriptor is closed once it is copied."""
+    with open(os.devnull, "wb") as null:
+        os.dup2(null.fileno(), fd)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # Arguments are parsed under the default limit, which keeps refusing numeric
     # literals too long to convert cheaply; a refusal may quote a cost past it.  The rest
@@ -475,11 +476,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if holds else 1
     except DomainError as exc:
         code, message = 2, exc
-    except OSError as exc:
-        # stdout is closed or could not be written: a closed pipe or a full device.  Point
-        # it at devnull so the interpreter's final flush of what is buffered cannot raise.
+    except OSError as exc:  # stdout is closed, its reader hung up or its device is full
         if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _to_devnull(sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return EXIT_BROKEN_PIPE
         code, message = 3, f"cannot write the report: {exc}"
@@ -487,8 +486,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(saved)
     try:
         print(f"error: {message}", file=sys.stderr)
-    except OSError:
-        # stderr cannot be written either, so the code alone tells.  devnull takes what is
-        # buffered, or the interpreter's final flush would fail again and exit 120.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    except OSError:  # stderr cannot be written either, so the code alone tells
+        _to_devnull(sys.stderr.fileno())
     return code

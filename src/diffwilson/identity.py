@@ -24,7 +24,7 @@ n! or 0, which it computes once however many points it checks.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import pairwise, starmap, tee
 from typing import TYPE_CHECKING, Iterator
 
 from . import exact
@@ -121,25 +121,27 @@ def symbolic_lower_power_poly(n: int, j: int) -> Poly:
     return _alternating_expansion(n, n - j)
 
 
-def difference_table(degree: int, points: int) -> Iterator[list[int]]:
+def difference_table(degree: int, points: int) -> list[Iterator[int]]:
     """Columns of the difference table of x**degree sampled at x = 0..points-1.
 
-    Column 0 holds the sampled values; column m+1 holds consecutive
-    differences of column m, so column m has points - m entries.  Column
-    `degree` is constant factorial(degree).
-
-    A bad degree or point count is refused at the call, which also builds
-    column 0; each later column is built when it is read, so a reader that
-    drops every column once it is done with it holds at most two.
+    Column 0 holds the sampled values and column m+1 the consecutive differences of
+    column m, so column m has points - m entries and column `degree` is constant
+    factorial(degree).  A bad degree or point count is refused at the call; the columns
+    are lazy iterators, each fed from the one before it, so the table may be read in any
+    order and holds what each column reads ahead of the next.  Read column by column,
+    that is about two columns; read row by row, row x being next() of columns
+    0..min(x, degree), one diagonal (up to 57 in CPython, whose tee frees in blocks).
     """
     if degree < 0:
         raise DomainError(f"degree must be non-negative, got {degree}")
     if points <= degree:
-        raise DomainError(
-            f"need at least degree+1 sample points, got points={points} for degree={degree}"
-        )
-    return accumulate(range(degree), lambda c, _: [b - a for a, b in zip(c, c[1:])],
-                      initial=[x**degree for x in range(points)])
+        raise DomainError(f"need at least degree+1 sample points, got points={points}"
+                          f" for degree={degree}")
+    cols: list[Iterator[int]] = [(x**degree for x in range(points))]
+    for m in range(degree):
+        cols[m], feed = tee(cols[m])
+        cols.append(starmap(int.__rsub__, pairwise(feed)))  # b - a for each pair (a, b)
+    return cols
 
 
 def sample_rationals(rng: random.Random, count: int) -> Iterator[Fraction]:

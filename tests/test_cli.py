@@ -13,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -469,6 +470,19 @@ def test_closed_stdout_exits_3_without_traceback(argv):
     assert proc.stderr == "error: cannot write the report: stdout is closed\n"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd") or not os.path.exists("/dev/full"),
+                    reason="counts the entries of /proc/self/fd, writes to /dev/full")
+def test_unwritten_report_leaves_no_descriptor_open(capsys):
+    # main points the unwritable stdout at devnull; the devnull descriptor it opened for
+    # that must be closed again, or each in-process run leaks one.
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with open("/dev/full", "w") as full, redirect_stdout(full):
+            assert cli.main(["wilson", "5"]) == 3
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.count("error: cannot write the report: ") == 3
+
+
 STDERR_FULL = pytest.mark.parametrize(
     "argv,stdout_full,code",
     [
@@ -575,6 +589,23 @@ def test_big_json_report_peaks_under_40_mb(argv):
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0
     assert peak_kib / 1024 < 40, peak_kib
+
+
+def _traced_peak(argv):
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_text_difftable_peaks_no_higher_than_json():
+    # Both forms read the one lazy table, JSON by columns and text by rows, so the text
+    # report holds no more of it than the JSON one does.
+    argv = ["difftable", "--degree", "100", "--points", "1000"]
+    assert _traced_peak(argv) <= _traced_peak(argv + ["--json"])
 
 
 # exit code 1: violations, reachable only through broken verifiers
@@ -718,7 +749,7 @@ def test_congruence_eq1_broken_exact_sum_exits_1(capsys, monkeypatch):
 
 
 def test_difftable_violation_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "difference_table", lambda d, p: [[0, 1], [7]])
+    monkeypatch.setattr(cli, "difference_table", lambda d, p: [iter([0, 1]), iter([7])])
     assert cli.main(["difftable", "--degree", "1", "--points", "2"]) == 1
     assert "holds=false" in capsys.readouterr().out
     assert cli.main(["difftable", "--degree", "1", "--points", "2", "--json"]) == 1
@@ -728,19 +759,34 @@ def test_difftable_violation_exits_1(capsys, monkeypatch):
 
 
 STREAMED_TABLES = {
-    "last column wrong": lambda d, p: iter([[0, 1, 4], [1, 3], [2, 3]]),
-    "too few columns": lambda d, p: (col for col in [[0, 1, 4], [1, 3]]),
+    "last column wrong": lambda d, p: [iter([0, 1, 4]), iter([1, 3]), iter([2, 3])],
+    "too few columns": lambda d, p: [iter([0, 1, 4]), iter([1, 3])],
+    "too few columns, the last one constant": lambda d, p: [iter([2, 2, 2])],
+}
+# The text rows of each table above, read by rows as degree 2 with 3 points.
+STREAMED_ROWS = {
+    "last column wrong": ["x=0: 0", "x=1: 1 1", "x=2: 4 3 2"],
+    "too few columns": ["x=0: 0", "x=1: 1 1", "x=2: 4 3"],
+    "too few columns, the last one constant": ["x=0: 2", "x=1: 2", "x=2: 2"],
 }
 
 
-@pytest.mark.parametrize("table", STREAMED_TABLES.values(), ids=STREAMED_TABLES)
-def test_streamed_difftable_violation_exits_1(capsys, monkeypatch, table):
-    # holds is settled from column `degree` as it streams past, then written last.
+@pytest.mark.parametrize("name", STREAMED_TABLES, ids=STREAMED_TABLES)
+def test_streamed_difftable_violation_exits_1(capsys, monkeypatch, name):
+    # holds is settled from column `degree` once the report is written, then written last;
+    # a table without that column never holds.
+    table = STREAMED_TABLES[name]
     monkeypatch.setattr(cli, "difference_table", table)
     assert cli.main(["difftable", "--degree", "2", "--points", "3", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["columns"] == [[str(v) for v in col] for col in table(2, 3)]
     assert list(payload.items())[-2:] == [("holds", False), ("status", "violated")]
+    # Text reads the same table by rows, and comes to the same verdict.
+    assert cli.main(["difftable", "--degree", "2", "--points", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [
+        *STREAMED_ROWS[name], "column 2: expected=2 holds=false", "status: violated"]
+    assert captured.err == ""
 
 
 # exit code 2: usage errors on stderr

@@ -4,6 +4,7 @@ x-independence, and the symbolic/pointwise/operator route agreement."""
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -222,20 +223,49 @@ def test_derivative_collapse_rejects_bad_j():
         derivative_collapse_check(3, 0)
 
 
+def _read_by_columns(table):
+    return [list(col) for col in table]
+
+
+def _read_by_rows(table, points):
+    # Row x is next() of columns 0..min(x, degree): entry x - m of each column m.
+    rows = [[next(col) for col in table[:x + 1]] for x in range(points)]
+    return [[row[m] for row in rows[m:]] for m in range(len(table))]
+
+
+def _read_round_robin(table):
+    # One entry of each column in turn, the last column first, until every one is empty.
+    rounds = list(zip_longest(*reversed(table)))
+    return [[v for v in col if v is not None] for col in zip(*rounds)][::-1]
+
+
 def test_difference_table_example():
-    assert list(difference_table(2, 5)) == [[0, 1, 4, 9, 16], [1, 3, 5, 7], [2, 2, 2]]
+    table = difference_table(2, 5)
+    assert len(table) == 3
+    assert _read_by_columns(table) == [[0, 1, 4, 9, 16], [1, 3, 5, 7], [2, 2, 2]]
 
 
 def test_difference_table_constant_column():
     for degree in range(8):
-        cols = list(difference_table(degree, degree + 4))
+        cols = _read_by_columns(difference_table(degree, degree + 4))
         assert len(cols) == degree + 1
         assert all(len(cols[m]) == degree + 4 - m for m in range(degree + 1))
         assert cols[degree] == [factorial(degree)] * 4
         # The shortest table, points = degree + 1, ends in the single entry degree!.
-        cols = list(difference_table(degree, degree + 1))
+        cols = _read_by_columns(difference_table(degree, degree + 1))
         assert [len(col) for col in cols] == list(range(degree + 1, 0, -1))
         assert cols[-1] == [factorial(degree)]
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_difference_table_reads_alike_in_any_order(degree):
+    # Each column is fed from the one before it, so rows, columns and a round robin
+    # must read the same table; points = degree + 1 is the shortest one.
+    for points in (degree + 1, degree + 2, degree + 9):
+        by_columns = _read_by_columns(difference_table(degree, points))
+        assert by_columns[0] == [x**degree for x in range(points)]
+        assert _read_by_rows(difference_table(degree, points), points) == by_columns
+        assert _read_round_robin(difference_table(degree, points)) == by_columns
 
 
 def test_difference_table_rejects_short_sample():
