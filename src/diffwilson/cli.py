@@ -31,8 +31,8 @@ budget refusal); 3 the report, or the --help text, could not be written,
 e.g. stdout on a full device or closed; 141 (128 + SIGPIPE) the reader
 closed stdout before the output ended, e.g.
 ``diffwilson wilson-range 2 200000 | head -2``.  An ``error:`` line that
-cannot be written leaves code 2 or 3 as it is.  (A "status": "error"
-payload value is reserved; usage errors go to stderr.)
+cannot be written, or has no stderr to go to, leaves code 2 or 3 as it is.
+(A "status": "error" payload value is reserved; usage errors go to stderr.)
 """
 
 from __future__ import annotations
@@ -485,7 +485,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         sys.set_int_max_str_digits(saved)
     try:
-        print(f"error: {message}", file=sys.stderr)
+        if sys.stderr is not None:  # fd 2 is open; print(file=None) would write to stdout
+            print(f"error: {message}", file=sys.stderr)
     except OSError:  # stderr cannot be written either, so the code alone tells
         _to_devnull(sys.stderr.fileno())
     return code

@@ -89,8 +89,8 @@ def binomial(n: int, i: int) -> int:
 def binomial_row(n: int) -> list[int]:
     """Row n of Pascal's triangle, [C(n,0), ..., C(n,n)], built incrementally.
 
-    The package's one hand-written binomial recurrence, C(n,i) = C(n,i-1) * (n-i+1) / i,
-    so the pointwise route's weights share no code with binomial()'s ``math.comb``.
+    By the recurrence C(n,i) = C(n,i-1) * (n-i+1) / i, so the pointwise route's
+    weights share no code with binomial()'s ``math.comb``, nor with ``poly_shift``.
     """
     if n < 0:
         raise DomainError(f"binomial row needs n >= 0, got {n}")
@@ -159,16 +159,15 @@ def poly_axpy(a: Fraction | int, p: Poly, q: Poly) -> Poly:
 def poly_shift(p: Poly, c: Fraction | int) -> Poly:
     """p(X + c), each (X + c)**k expanded exactly by the binomial theorem.
 
-    Computed in the ring of p and c: int coefficients shifted by an int stay
-    int (int in, int out).
+    Steps its own C(k, j) beside the power of c, in the ring of p and c (int in, int
+    out).  The leading coefficient stays, so a canonical p gives a canonical result.
     """
     out = [0] * len(p)
     for k, a in enumerate(p):
         if not a:
             continue
-        row = binomial_row(k)
-        ck = 1  # c**(k - j), j descending from k
+        b, ck = 1, 1  # C(k, j) and c**(k - j), j descending from k
         for j in range(k, -1, -1):
-            out[j] += a * row[j] * ck
-            ck *= c
-    return _canonical(out)
+            out[j] += a * b * ck
+            b, ck = b * j // (k - j + 1), ck * c
+    return tuple(out)

@@ -8,8 +8,8 @@ which collapses to the constant n! for every n >= 0, independent of x.
 Lowering the exponent to n - j for any 1 <= j <= n makes the same sum
 vanish identically.  Each identity is checked along two routes: literal pointwise
 evaluation, and symbolic expansion into a polynomial whose coefficients must cancel.
-Both use ``binomial_row``: pointwise for the weights, symbolically inside ``poly_shift``,
-where the alternating sum cancels a wrong entry, so only the pointwise route catches one.
+They share no binomial code: the pointwise weights come from ``binomial_row``, the
+symbolic ones from ``binomial`` (``math.comb``), and ``poly_shift`` steps its own.
 A disagreement between the routes can only be an implementation bug, never rounding.
 
 Both routes run on the integer lattice and convert to Fraction once, when

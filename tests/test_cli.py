@@ -470,6 +470,29 @@ def test_closed_stdout_exits_3_without_traceback(argv):
     assert proc.stderr == "error: cannot write the report: stdout is closed\n"
 
 
+CLOSED_STDERR_REFUSALS = [
+    ["congruence", "binom", "9"],
+    ["congruence", "binom", "9", "--json"],
+    ["wilson", "20000000"],  # over --max-wilson
+    ["identity", "--n", "3", "--trials", "1000000", "--json"],  # over the terms budget
+]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 2 in the child before exec")
+@pytest.mark.parametrize("argv", CLOSED_STDERR_REFUSALS,
+                         ids=["text", "json", "max-wilson", "terms-budget"])
+def test_refusal_with_closed_stderr_writes_nothing(argv):
+    # With fd 2 closed, sys.stderr is None, and print(file=None) would put the error
+    # line on stdout, where a reader takes it for the report; the code alone must tell.
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffwilson", *argv],
+        stdout=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(2),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd") or not os.path.exists("/dev/full"),
                     reason="counts the entries of /proc/self/fd, writes to /dev/full")
 def test_unwritten_report_leaves_no_descriptor_open(capsys):
@@ -638,9 +661,9 @@ def test_identity_symbolic_violation_text_exits_1(capsys, monkeypatch):
 
 
 def test_binomial_row_fault_is_caught_pointwise_only(capsys, monkeypatch):
-    # Both routes use binomial_row: pointwise for the weights, symbolically inside
-    # poly_shift.  There a wrong C(m, 1) scales a term in i^(m-1), which the alternating
-    # sum cancels, so only the pointwise route, against the closed form n!, catches it.
+    # binomial_row gives only the pointwise route its weights: the symbolic route takes
+    # binomial's, and poly_shift steps its own C(k, j).  So a wrong entry of the row is
+    # caught pointwise, against the closed form n!, and the symbolic route still holds.
     correct = exact.binomial_row
 
     def faulty(m):

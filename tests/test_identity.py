@@ -16,6 +16,7 @@ from poly_oracle import (
     poly_mul,
 )
 
+from diffwilson import exact, identity
 from diffwilson.exact import POLY_ZERO, DomainError, factorial, monomial, poly_const
 from diffwilson.identity import (
     _alternating_expansion,
@@ -192,6 +193,27 @@ def test_symbolic_rejects_bad_arguments():
         symbolic_lower_power_poly(0, 1)
     with pytest.raises(DomainError):
         symbolic_lower_power_poly(4, 5)
+
+
+def test_routes_share_no_binomial_code(monkeypatch):
+    # The symbolic route never reaches binomial_row, the pointwise route's recurrence...
+    def unreachable(n):
+        raise AssertionError(f"the symbolic route called binomial_row({n})")
+
+    monkeypatch.setattr(exact, "binomial_row", unreachable)
+    monkeypatch.setattr(identity, "binomial_row", unreachable)
+    for n in range(13):
+        assert symbolic_difference_poly(n) == (factorial(n),)
+        for j in range(1, n + 1):
+            assert symbolic_lower_power_poly(n, j) == ()
+    monkeypatch.undo()
+    # ...and a wrong C(n, 1) from binomial, the symbolic route's weights, leaves the
+    # pointwise sums alone while the symbolic polynomial keeps a term in X.
+    monkeypatch.setattr(identity, "binomial", lambda n, i: math.comb(n, i) + (i == 1))
+    for n in range(1, 13):
+        assert eval_difference_sum(n, Fraction(-3, 7)) == factorial(n)
+        assert eval_lower_power_sum(n, 1, 5) == 0
+        assert len(symbolic_difference_poly(n)) > 1
 
 
 def test_backward_difference_examples():
