@@ -12,8 +12,7 @@ Usage:
 Every subcommand accepts --json; range sweeps stream line-delimited JSON,
 one object per n, in ascending order.  --x, --trials, --seed and
 --symbolic belong to identity and lower-power (--trials and --seed only
-when --x is omitted), and --max-wilson to wilson and wilson-range; any
-other use of them exits 2.
+when --x is omitted); any other use of them exits 2.
 Numeric parameters are exact integers or num/den rationals;
 floating-point literals are rejected.  A negative num/den point takes the
 = form, --x=-3/7, because argparse reads a separate -3/7 as an option.
@@ -21,8 +20,8 @@ Integers serialize as decimal strings and rationals as "num/den" strings,
 so values survive any JSON consumer losslessly.
 
 Each subcommand is one row of COMMANDS.  main prices a request with its
-row's cost function and refuses one over BUDGET (whose n, for the wilson
-rows, is --max-wilson) before the row's handler does any work.
+row's cost function and refuses one over BUDGET, which no flag changes,
+before the row's handler does any work.
 
 Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
@@ -88,7 +87,7 @@ class Cost(NamedTuple):
 
     terms: int = 0  # exact terms summed, points checked and entries built
     bits: int = 0  # the size of the big terms: their count times the largest bit length
-    n: int = 0  # the largest n whose Wilson residue is computed; --max-wilson sets its budget
+    n: int = 0  # the largest n whose Wilson residue is computed (see _range_cost)
 
 
 # The terms and bits budgets each admit about a second of work (in-process times of main,
@@ -101,9 +100,7 @@ BUDGET = Cost(terms=150_000, bits=120_000_000, n=10**7)
 _REFUSALS = {
     "terms": "{command} needs {spent} exact terms, over the budget of {limit}",
     "bits": "{command} needs {spent} bits of exact terms, over the budget of {limit}",
-    "n": "n={spent} exceeds --max-wilson={limit}: wilson n costs up to n-2 modular"
-    " multiplications and wilson-range lo hi at most as many for n = hi, plus a remainder"
-    " tree that the bits budget bounds; raise the bound explicitly if you mean it",
+    "n": "{command} needs the Wilson residue of n={spent}, over the budget of {limit}",
 }
 
 
@@ -394,8 +391,6 @@ _POINTS = (
          help="seed for randomized evaluation points (reproduces a run exactly)"),
     _arg("--symbolic", action="store_true", help="also check the symbolic collapse"),
 )
-_MAX_WILSON = _arg("--max-wilson", type=int, default=BUDGET.n, metavar="BOUND",
-                   help=f"refuse wilson checks above this n (default {BUDGET.n})")
 
 # One row per subcommand: name, help, handler, cost, then its arguments after --json.
 COMMANDS = (
@@ -407,10 +402,10 @@ COMMANDS = (
      _arg("--j", type=int, required=True, help="exponent drop, 1 <= j <= n"), *_POINTS),
     ("wilson", "factorial-residue primality verdict for one n", _cmd_wilson,
      lambda args: _range_cost(args.n, args.n),
-     _arg("n", type=int, help="integer to test, n >= 2"), _MAX_WILSON),
+     _arg("n", type=int, help=f"integer to test, 2 <= n <= {BUDGET.n}")),
     ("wilson-range", "stream factorial-residue verdicts for lo..hi", _cmd_wilson_range,
      lambda args: _range_cost(args.lo, args.hi), _arg("lo", type=int, help="first n (>= 2)"),
-     _arg("hi", type=int, help="last n (inclusive)"), _MAX_WILSON),
+     _arg("hi", type=int, help=f"last n (inclusive), lo <= hi <= {BUDGET.n}")),
     ("congruence", "per-index congruence report mod a prime", _cmd_congruence,
      _congruence_cost, _arg("kind", choices=sorted(_CONGRUENCE_KINDS),
           help="binom: binomial row vs alternating pattern; fermat: (p-1)-th powers;"
@@ -464,8 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     saved = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)
-        budget = BUDGET._replace(n=getattr(args, "max_wilson", BUDGET.n))
-        for unit, spent, limit in zip(Cost._fields, args.cost(args), budget):
+        for unit, spent, limit in zip(Cost._fields, args.cost(args), BUDGET):
             if spent > limit:  # refused before the handler does any work
                 raise DomainError(_REFUSALS[unit].format(
                     command=args.command, spent=spent, limit=limit))

@@ -473,14 +473,14 @@ def test_closed_stdout_exits_3_without_traceback(argv):
 CLOSED_STDERR_REFUSALS = [
     ["congruence", "binom", "9"],
     ["congruence", "binom", "9", "--json"],
-    ["wilson", "20000000"],  # over --max-wilson
+    ["wilson", "20000000"],  # over the n budget
     ["identity", "--n", "3", "--trials", "1000000", "--json"],  # over the terms budget
 ]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 2 in the child before exec")
 @pytest.mark.parametrize("argv", CLOSED_STDERR_REFUSALS,
-                         ids=["text", "json", "max-wilson", "terms-budget"])
+                         ids=["text", "json", "n-budget", "terms-budget"])
 def test_refusal_with_closed_stderr_writes_nothing(argv):
     # With fd 2 closed, sys.stderr is None, and print(file=None) would put the error
     # line on stdout, where a reader takes it for the report; the code alone must tell.
@@ -841,7 +841,7 @@ OVER_BUDGET_SWEEPS = [
         (["lower-power", "--n", "3", "--j", "5", "--x", "1"], "1 <= j <= n"),
         (["lower-power", "--n", "0", "--j", "1", "--x", "1"], "1 <= j <= n"),
         (["wilson", "1"], "at least 2"),
-        (["wilson", "11", "--max-wilson", "10"], "exceeds --max-wilson"),
+        (["wilson", "10000001"], "over the budget"),
         (["wilson-range", "5", "4"], "empty range"),
         (["wilson-range", "1", "4"], "start at 2"),
         (["congruence", "binom", "9"], "divisible by 3"),
@@ -872,7 +872,6 @@ OVER_BUDGET_SWEEPS = [
         (["wilson-range", "1", "20000000"], "start at 2"),
         (["wilson-range", "20000000", "19999999"], "empty range"),
         (["wilson-range", "0", "10000001"], "start at 2"),
-        (["wilson", "1", "--max-wilson", "0"], "at least 2"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -897,6 +896,9 @@ def test_usage_errors_exit_2(capsys, argv, fragment):
         ["congruence", "binom", "5", "--max-wilson", "9"],
         ["difftable", "--degree", "2", "--points", "5", "--x", "1"],
         ["identity", "--n", "3", "--x", "1", "--max-wilson", "5"],
+        # no flag lifts the n budget
+        ["wilson", "5", "--max-wilson", "9"],
+        ["wilson-range", "2", "5", "--max-wilson", "9"],
     ],
 )
 def test_argparse_rejections_exit_2(capsys, argv):
@@ -933,12 +935,9 @@ def _argv(draw):
         if kwargs.get("action") == "store_true":
             argv.append(flag)
             continue
-        if flag == "--max-wilson":  # raised past 10**9, it admits minutes of wilson 10**9
-            values = _SMALL.map(str)
-        else:
-            choices = kwargs.get("choices")
-            values = st.sampled_from(choices) if choices else _WELL_FORMED[kwargs["type"]]
-            values = values if clean else values | _VALUES
+        choices = kwargs.get("choices")
+        values = st.sampled_from(choices) if choices else _WELL_FORMED[kwargs["type"]]
+        values = values if clean else values | _VALUES
         value = draw(values)
         if flag[0] != "-":
             argv.append(value)
@@ -989,11 +988,11 @@ def test_zero_denominator_exits_2_without_traceback():
 
 def test_default_wilson_bound_is_enforced(capsys):
     assert cli.main(["wilson", "10000001"]) == 2
-    assert "max-wilson" in capsys.readouterr().err
+    assert "over the budget" in capsys.readouterr().err
     assert cli.main(["wilson-range", "2", "10000001"]) == 2
     capsys.readouterr()
     assert cli.main(["wilson-range", "10000001", "10000001"]) == 2
-    assert "max-wilson" in capsys.readouterr().err
+    assert "over the budget" in capsys.readouterr().err
 
 
 def _never(*args):
@@ -1065,8 +1064,8 @@ def test_requests_in_use_are_within_budget(capsys, monkeypatch, argv):
 FLAGS = {
     "identity": {"--json", "--n", "--x", "--trials", "--seed", "--symbolic"},
     "lower-power": {"--json", "--n", "--j", "--x", "--trials", "--seed", "--symbolic"},
-    "wilson": {"--json", "n", "--max-wilson"},
-    "wilson-range": {"--json", "lo", "hi", "--max-wilson"},
+    "wilson": {"--json", "n"},
+    "wilson-range": {"--json", "lo", "hi"},
     "congruence": {"--json", "kind", "p"},
     "difftable": {"--json", "--degree", "--points"},
 }
