@@ -223,8 +223,8 @@ def _report(args: argparse.Namespace, check: str, params: dict, body: dict,
 def _cmd_sum(args: argparse.Namespace) -> bool:
     """identity and lower-power; the text header names every param except x.
 
-    The rows are evaluated and written one at a time, by one generator.  The first
-    point is evaluated before anything is written, so every refusal comes first.
+    The rows are built and written one at a time.  The first is built before anything
+    is written, so every refusal comes first, and a one-point lhs is read from it.
     """
     n, j = args.n, getattr(args, "j", None)
     if j is None:
@@ -261,17 +261,17 @@ def _cmd_sum(args: argparse.Namespace) -> bool:
     rhs = format_rational(closed)
     rows_hold = True  # settled as the rows pass
 
-    def results() -> Iterator[dict]:
+    def row(x: Fraction, v: Fraction) -> dict:
         nonlocal rows_hold
-        for x, v in chain([(x0, v0)], ((p, route(p)) for p in points)):
-            holds = v == closed
-            rows_hold = rows_hold and holds
-            yield {"x": format_rational(x), "lhs": format_rational(v), "rhs": rhs,
-                   "holds": holds}
+        holds = v == closed
+        rows_hold = rows_hold and holds
+        return {"x": format_rational(x), "lhs": format_rational(v), "rhs": rhs,
+                "holds": holds}
 
-    body: dict = {"results": results()}
+    first = row(x0, v0)
+    body: dict = {"results": chain([first], (row(p, route(p)) for p in points))}
     if trials == 1:
-        body["lhs"] = format_rational(v0)
+        body["lhs"] = first["lhs"]
     body["rhs"] = rhs
     sym_holds = poly is None or poly == poly_const(closed)  # must collapse to the closed form
     if poly is not None:

@@ -128,14 +128,6 @@ def format_poly(p: Poly) -> list[str]:
     return [format_rational(c) for c in p]
 
 
-def _canonical(coeffs: list) -> Poly:
-    """Strip trailing zero coefficients and freeze."""
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
 def poly_const(c: Fraction | int) -> Poly:
     """The constant polynomial c, in the ring of c."""
     return (c,) if c else POLY_ZERO
@@ -153,7 +145,9 @@ def poly_axpy(a: Fraction | int, p: Poly, q: Poly) -> Poly:
     out = list(q) + [0] * (len(p) - len(q))
     for k, c in enumerate(p):
         out[k] += a * c
-    return _canonical(out)
+    while out and not out[-1]:  # strip trailing zero coefficients
+        out.pop()
+    return tuple(out)
 
 
 def poly_shift(p: Poly, c: Fraction | int) -> Poly:

@@ -150,7 +150,8 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
 
     An accumulating remainder tree (Costa, Gerbicz and Harvey, "A search for
     Wilson primes", Math. Comp. 83 (2014)) serves the whole range.  One
-    product tree over lo..hi holds both the values and the moduli.  Walked
+    product tree over lo..hi holds both the values and the moduli; its leaf
+    level is the range lo..hi itself, not a list copy of it.  Walked
     top-down from f = (lo-1)! mod prod(lo..hi), a node over a..b receives
     (a-1)! mod prod(a..b): its left child f % prod(left) and its right child
     f * prod(left) % prod(right), so each leaf n receives (n-1)! mod n.  No
@@ -173,7 +174,7 @@ def wilson_sweep(lo: int, hi: int) -> Iterator[PrimalityVerdict]:
         raise DomainError(
             f"wilson test needs n >= 2 (at least 2, so a range must start at 2), got {lo}"
         )
-    levels = [list(range(lo, hi + 1))]  # the leaves, then pairwise products up to the root
+    levels = [range(lo, hi + 1)]  # the leaves, then pairwise products up to the root
     while len(levels[-1]) > 1:
         row = levels[-1]
         levels.append([prod(row[i:i + 2]) for i in range(0, len(row), 2)])

@@ -317,6 +317,36 @@ def test_identity_request_computes_the_closed_form_once(capsys, monkeypatch):
     assert [row["rhs"] for row in payload["results"]] == ["720/1"] * 10
 
 
+@pytest.mark.parametrize(
+    "argv,route",
+    [
+        (["identity", "--n", "7", "--x", "1"], "eval_difference_sum"),
+        (["identity", "--n", "7", "--x", "1", "--json"], "eval_difference_sum"),
+        (["lower-power", "--n", "7", "--j", "2", "--trials", "1", "--seed", "3", "--json"],
+         "eval_lower_power_sum"),
+    ],
+    ids=["identity-text", "identity-json", "lower-power-json"],
+)
+def test_one_point_sum_is_formatted_once(monkeypatch, argv, route):
+    # The one-point report's lhs is read from its one row, not formatted a second time.
+    values, formatted = [], []
+    evaluate, format_rational = getattr(cli, route), cli.format_rational
+
+    def evaluated(*args):
+        values.append(evaluate(*args))
+        return values[-1]
+
+    def counted(q):
+        formatted.append(q)
+        return format_rational(q)
+
+    monkeypatch.setattr(cli, route, evaluated)
+    monkeypatch.setattr(cli, "format_rational", counted)
+    assert cli.main(argv) == 0
+    assert len(values) == 1
+    assert sum(q is values[0] for q in formatted) == 1
+
+
 # Results past CPython's 4300-digit int/str limit.
 
 
