@@ -92,9 +92,10 @@ class Cost(NamedTuple):
 
 # The terms and bits budgets each admit about a second of work (in-process times of main,
 # 2-vCPU host, CPython 3.11.7): identity --n 3 --trials 100000 (6.0e5 terms) 2.4 s, identity
-# --n 400 --x 1 --symbolic (1.6e5) 0.48 s, congruence fermat 100003 (1.0e5) 0.52 s;
-# identity --n 3000 --x 1 (1.17e8 bits) 1.1 s, congruence eq1 3001 (1.17e8) 1.1 s.  The
-# bits of a wilson-range cost more (see _range_cost).
+# --n 1058 --x 1 --symbolic (1.5e5) 1.0 s, lower-power --n 4303 --j 4302 --x 1 --symbolic
+# (1.5e5) 1.2 s, congruence fermat 100003 (1.0e5) 0.52 s; identity --n 3000 --x 1 (1.17e8
+# bits) 1.1 s, congruence eq1 3001 (1.17e8) 1.1 s.  The bits of a wilson-range cost more
+# (see _range_cost).
 BUDGET = Cost(terms=150_000, bits=120_000_000, n=10**7)
 
 _REFUSALS = {
@@ -107,9 +108,10 @@ _REFUSALS = {
 def _sum_cost(args: argparse.Namespace) -> Cost:
     # Per point a/b: n+1 terms C(n, i) (a - i*b)**m, each below 2**n (|a| + n*b)**m, and two
     # more to draw it and compare it with the closed form, computed once per request.  Powers
-    # take longer than their size, so they count in bits too; the symbolic route's (n+1)(m+1)
-    # products, each of two big numbers, count in terms only.  An n or j outside the domain
-    # costs next to nothing.
+    # take longer than their size, so they count in bits too.  The symbolic route builds n+1
+    # rows C(n,i) (1, i, ..., i^m), each entry a product by the small int i, and its weight
+    # C(n,i) from math.comb costs about n/16 such products; eight of them count as one term.
+    # An n or j outside the domain costs next to nothing.
     n, j = max(args.n, 0), getattr(args, "j", 0)
     m = n - j if 0 <= j <= n else 0
     if args.x is None:
@@ -118,7 +120,8 @@ def _sum_cost(args: argparse.Namespace) -> Cost:
     else:
         points, a, b = 1, abs(args.x.numerator), args.x.denominator
     bits = points * (n + 1) * (n + m * (a + n * b).bit_length())
-    return Cost(terms=points * (n + 3) + args.symbolic * (n + 1) * (m + 1), bits=bits)
+    symbolic = args.symbolic * (n + 1) * (m + 1 + n // 16) // 8
+    return Cost(terms=points * (n + 3) + symbolic, bits=bits)
 
 
 def _congruence_cost(args: argparse.Namespace) -> Cost:

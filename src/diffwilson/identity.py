@@ -9,14 +9,15 @@ Lowering the exponent to n - j for any 1 <= j <= n makes the same sum
 vanish identically.  Each identity is checked along two routes: literal pointwise
 evaluation, and symbolic expansion into a polynomial whose coefficients must cancel.
 They share no binomial code: the pointwise weights come from ``binomial_row``, the
-symbolic ones from ``binomial`` (``math.comb``), and ``poly_shift`` steps its own.
+symbolic ones from ``binomial`` (``math.comb``), and the symbolic route's C(m, j) from
+``poly_shift``, which steps its own when it expands (X - 1)^m.
 A disagreement between the routes can only be an implementation bug, never rounding.
 
 Both routes run on the integer lattice and convert to Fraction once, when
 the result is returned.  Pointwise, x = a/b makes each term
 C(n,i) (a - i*b)^m / b^m, so the numerators are summed as ints and the sum
-is divided by b^m once.  Symbolically, X^m shifted by an integer -i has
-int coefficients, and so do the binomial weights.
+is divided by b^m once.  Symbolically, the moments sum_i (-1)^i C(n,i) i^k
+are ints, and so are the coefficients of (X - 1)^m that multiply them.
 
 The routes return sums only; a caller compares them with the closed form,
 n! or 0, which it computes once however many points it checks.
@@ -24,18 +25,19 @@ n! or 0, which it computes once however many points it checks.
 
 from __future__ import annotations
 
-from itertools import pairwise, starmap, tee
+from itertools import accumulate, pairwise, repeat, starmap, tee
+from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
 from . import exact
 from .exact import (
-    POLY_ZERO,
     DomainError,
     Poly,
     binomial,
     binomial_row,
     monomial,
     poly_axpy,
+    poly_const,
     poly_shift,
 )
 
@@ -95,14 +97,20 @@ def eval_lower_power_sum(n: int, j: int, x: Fraction | int) -> Fraction:
 
 
 def _alternating_expansion(n: int, exponent: int) -> Poly:
-    # sum_i (-1)^i C(n,i) (X - i)^exponent with each power expanded via poly_shift.
-    acc = POLY_ZERO
-    base = monomial(exponent)
-    for i in range(n + 1):
-        shifted = poly_shift(base, -i)
-        weight = binomial(n, i)
-        acc = poly_axpy(weight if i % 2 == 0 else -weight, shifted, acc)
-    return tuple(map(exact.Fraction, acc))
+    # sum_i (-1)^i C(n,i) (X - i)^m, m = exponent, with the two sums swapped: the
+    # coefficient of X^j is the moment M_(m-j) = sum_i (-1)^i C(n,i) i^(m-j) times the X^j
+    # coefficient of (X - 1)^m.  The moments are summed as one polynomial in Y whose row i,
+    # C(n,i) (1, i, ..., i^m), is stepped by products with the small int i.
+    moments = poly_const(1)  # row 0: 0^k is 0 but for k = 0
+    for i in range(1, n + 1):
+        row = tuple(accumulate(repeat(i, exponent), mul, initial=binomial(n, i)))
+        moments = poly_axpy(-1 if i % 2 else 1, row, moments)
+    moments += (0,) * (exponent + 1 - len(moments))
+    coeffs = [c * moment for c, moment in zip(poly_shift(monomial(exponent), -1),
+                                               reversed(moments))]
+    while coeffs and not coeffs[-1]:  # strip trailing zero coefficients
+        coeffs.pop()
+    return tuple(map(exact.Fraction, coeffs))
 
 
 def symbolic_difference_poly(n: int) -> Poly:

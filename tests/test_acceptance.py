@@ -85,9 +85,9 @@ def test_criterion_1_difference_sum_pointwise():
 def test_criterion_2_difference_sum_symbolic():
     t0 = time.perf_counter()
     ok = all(
-        symbolic_difference_poly(n) == poly_const(factorial(n)) for n in range(121)
+        symbolic_difference_poly(n) == poly_const(factorial(n)) for n in range(201)
     )
-    _report(2, "symbolic expansion collapses to the constant n!, n <= 120", ok, t0)
+    _report(2, "symbolic expansion collapses to the constant n!, n <= 200", ok, t0)
 
 
 def test_criterion_3_lower_power_sums_vanish():
@@ -99,9 +99,11 @@ def test_criterion_3_lower_power_sums_vanish():
             ok = ok and symbolic_lower_power_poly(n, j) == POLY_ZERO
             for x in sample_rationals(rng, 5):
                 ok = ok and eval_lower_power_sum(n, j, x) == 0
+    ok = ok and all(symbolic_lower_power_poly(200, j) == POLY_ZERO for j in (1, 100, 200))
     _report(
         3,
-        "lower-power sums vanish symbolically and at 5 random points, 1 <= j <= n <= 60",
+        "lower-power sums vanish symbolically and at 5 random points, 1 <= j <= n <= 60,"
+        " and symbolically at n = 200 for j in 1, 100, 200",
         ok,
         t0,
         f"seed={SEED}",

@@ -1091,6 +1091,32 @@ def test_requests_in_use_are_within_budget(capsys, monkeypatch, argv):
     assert capsys.readouterr().err == ""
 
 
+# The widest symbolic request of three shapes that the terms budget admits, each about a
+# second of work (see cli.BUDGET), and the next n of each shape, which it refuses.  The
+# last request costs almost only math.comb's weights C(n, i), about 10 s of them.
+SYMBOLIC_EDGES = [
+    (["identity", "--n", "1058", "--x", "1", "--symbolic"], True),
+    (["identity", "--n", "1059", "--x", "1", "--symbolic"], False),
+    (["lower-power", "--n", "1947", "--j", "1461", "--x", "1", "--symbolic"], True),
+    (["lower-power", "--n", "1948", "--j", "1462", "--x", "1", "--symbolic"], False),
+    (["lower-power", "--n", "4303", "--j", "4302", "--x", "1", "--symbolic"], True),
+    (["lower-power", "--n", "4304", "--j", "4303", "--x", "1", "--symbolic"], False),
+    (["lower-power", "--n", "10000", "--j", "9990", "--x", "1", "--symbolic"], False),
+]
+
+
+@pytest.mark.parametrize("argv,admitted", SYMBOLIC_EDGES,
+                         ids=[" ".join(argv) for argv, _ in SYMBOLIC_EDGES])
+def test_symbolic_terms_budget_edges(capsys, monkeypatch, argv, admitted):
+    _stub_entry_points(monkeypatch, _started)
+    if admitted:
+        with pytest.raises(_Started):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 2
+        assert "exact terms, over the budget" in capsys.readouterr().err
+
+
 FLAGS = {
     "identity": {"--json", "--n", "--x", "--trials", "--seed", "--symbolic"},
     "lower-power": {"--json", "--n", "--j", "--x", "--trials", "--seed", "--symbolic"},

@@ -144,24 +144,48 @@ def stirling2_table(k_max, n_max):
     return table
 
 
-def test_symbolic_expansion_matches_stirling_closed_form():
+def stirling_closed_form(n, m, stirling):
     # A third oracle, in closed form: the coefficient of X^(m-k) in
     # sum_i (-1)^i C(n,i) (X - i)^m is (-1)^k C(m,k) M_k, where the moment
     # M_k = sum_i (-1)^i C(n,i) i^k = (-1)^n n! S(k,n) (Graham, Knuth and Patashnik,
     # Concrete Mathematics, eq. 6.19).  It covers exponents above n without expanding.
+    expected = [0] * (m + 1)
+    for k, c_mk in enumerate(pascal_row(m)):
+        expected[m - k] = (-1) ** (n + k) * c_mk * math.factorial(n) * stirling[k][n]
+    return expected
+
+
+def expansion_coeffs(n, m):
+    # The symbolic route's polynomial, padded with zeros to its m + 1 coefficients.
+    poly = _alternating_expansion(n, m)
+    return list(poly) + [0] * (m + 1 - len(poly))
+
+
+def test_symbolic_expansion_matches_stirling_closed_form():
     n_max, extra = 40, 6
     stirling = stirling2_table(n_max + extra, n_max)
-    mismatches = []
-    for n in range(n_max + 1):
-        for m in range(n + extra + 1):
-            poly = _alternating_expansion(n, m)
-            coeffs = list(poly) + [0] * (m + 1 - len(poly))
-            expected = [0] * (m + 1)
-            for k, c_mk in enumerate(pascal_row(m)):
-                expected[m - k] = (-1) ** (n + k) * c_mk * math.factorial(n) * stirling[k][n]
-            if coeffs != expected:
-                mismatches.append((n, m))
+    mismatches = [(n, m) for n in range(n_max + 1) for m in range(n + extra + 1)
+                  if expansion_coeffs(n, m) != stirling_closed_form(n, m, stirling)]
     assert mismatches == []
+
+
+def test_wrong_shift_binomial_shows_above_degree_n(monkeypatch):
+    # The symbolic route takes its signed binomials from one poly_shift of X^m, and the
+    # coefficient of X^j is the X^j one of (X - 1)^m times the moment M_(m-j).  Every moment
+    # below M_n is 0, so a wrong C(m, 1) cancels at m = n; at m = n + 2 it scales M_(n+1),
+    # which is not 0, and the closed form catches it.  The pointwise sums never shift.
+    def wrong_shift(p, c):  # p(X + c) for p = X^m, with C(m, 1) one too large
+        out = list(exact.poly_shift(p, c))
+        out[1] += c ** (len(out) - 2)
+        return tuple(out)
+
+    monkeypatch.setattr(identity, "poly_shift", wrong_shift)
+    n_max = 12
+    stirling = stirling2_table(n_max + 2, n_max)
+    for n in range(1, n_max + 1):
+        assert eval_difference_sum(n, Fraction(-3, 7)) == factorial(n)
+        assert eval_lower_power_sum(n, 1, 5) == 0
+        assert expansion_coeffs(n, n + 2) != stirling_closed_form(n, n + 2, stirling)
 
 
 def test_routes_return_fraction_coefficients():
