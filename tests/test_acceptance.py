@@ -1,4 +1,5 @@
-"""Acceptance gate: eight criteria, one printed PASS/FAIL line each.
+"""Acceptance gate: eight criteria, one printed PASS/FAIL line each, and one for
+criterion 8 per launcher of the CLI process.
 
 Every comparison is exact equality; the tolerance is zero everywhere.
 Elapsed time per criterion is reported, not asserted.  Run with
@@ -59,10 +60,8 @@ def _report(k: int, label: str, ok: bool, t0: float, extra: str = "") -> None:
     assert ok, line
 
 
-def _cli(args: list[str]) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "diffwilson", *args], capture_output=True, text=True
-    )
+def _cli(launcher: list[str], args: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run([*launcher, *args], capture_output=True, text=True)
 
 
 def test_criterion_1_difference_sum_pointwise():
@@ -179,16 +178,16 @@ def test_criterion_7_cross_module_consistency():
     )
 
 
-def test_criterion_8_cli_contract():
+def test_criterion_8_cli_contract(launcher):
     t0 = time.perf_counter()
     ok = True
 
     for fname, argv in test_cli.GOLDEN_CASES:
-        proc = _cli(argv)
+        proc = _cli(launcher, argv)
         ok = ok and proc.returncode == 0
         ok = ok and proc.stdout == (test_cli.GOLDEN_DIR / fname).read_text()
 
-    proc = _cli(["congruence", "binom", "9"])
+    proc = _cli(launcher, ["congruence", "binom", "9"])
     ok = ok and proc.returncode == 2 and "divisible by 3" in proc.stderr
 
     proc = subprocess.run(
@@ -198,14 +197,15 @@ def test_criterion_8_cli_contract():
     )
     ok = ok and proc.returncode == 1 and "status: violated" in proc.stdout
 
-    proc = _cli(["wilson-range", "2", "100", "--json"])
+    proc = _cli(launcher, ["wilson-range", "2", "100", "--json"])
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     ok = ok and proc.returncode == 0 and len(rows) == 99
     ok = ok and sum(r["is_prime"] for r in rows) == 25
 
-    proc = _cli(["identity", "--n", "4", "--seed", str(SEED), "--json"])
+    proc = _cli(launcher, ["identity", "--n", "4", "--seed", str(SEED), "--json"])
     payload = json.loads(proc.stdout)
     ok = ok and proc.returncode == 0 and payload["rhs"] == "24/1"
     ok = ok and all(parse_rational(r["lhs"]) == 24 for r in payload["results"])
 
-    _report(8, "CLI goldens, exit codes 0/1/2, JSON round-trip, 25 primes to 100", ok, t0)
+    _report(8, "CLI goldens, exit codes 0/1/2, JSON round-trip, 25 primes to 100", ok, t0,
+            " ".join(launcher[1:]))

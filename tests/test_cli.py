@@ -409,19 +409,18 @@ def test_int_digit_limit_restored_on_every_exit(capsys, monkeypatch, argv, code)
     assert capsys.readouterr().err.startswith("error: ") == (code == 2)
 
 
-def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "diffwilson", "wilson", "7"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
+def test_entry_point_runs(launcher):
+    proc = subprocess.run([*launcher, "wilson", "7"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert "is_prime=true" in proc.stdout
+    proc = subprocess.run([*launcher, "--help"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: diffwilson ")
 
 
-def test_closed_pipe_exits_141_without_traceback():
+def test_closed_pipe_exits_141_without_traceback(launcher):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "diffwilson", "wilson-range", "2", "200000"],
+        [*launcher, "wilson-range", "2", "200000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -436,16 +435,15 @@ def test_closed_pipe_exits_141_without_traceback():
         "n=2: residue=1 is_prime=true oracle_agrees=true\n",
         "n=3: residue=2 is_prime=true oracle_agrees=true\n",
     ]
-    assert "Traceback" not in stderr
+    assert stderr == ""
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
 
 
-def test_closed_pipe_mid_json_report_exits_141_without_traceback():
+def test_closed_pipe_mid_json_report_exits_141_without_traceback(launcher):
     # A single-result report is written as it is produced, so the reader sees the start
     # of the object before it hangs up.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "diffwilson", "difftable", "--degree", "100",
-         "--points", "1000", "--json"],
+        [*launcher, "difftable", "--degree", "100", "--points", "1000", "--json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -456,7 +454,7 @@ def test_closed_pipe_mid_json_report_exits_141_without_traceback():
     finally:
         proc.kill()
     assert head.startswith(b'{"schema_version": "1", "check": "difftable", "params": ')
-    assert b"Traceback" not in stderr
+    assert stderr == b""
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
 
 
@@ -470,16 +468,12 @@ UNWRITTEN_IDS = ["wilson", "wilson-range", "difftable-json"]
 
 @pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
 @pytest.mark.parametrize("argv", UNWRITTEN_REPORTS, ids=UNWRITTEN_IDS)
-def test_failed_write_exits_3_without_traceback(argv):
+def test_failed_write_exits_3_without_traceback(launcher, argv):
     # Every write to /dev/full fails with ENOSPC: the report cannot be written, which is
     # neither a violation (1) nor a closed pipe (141).
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "diffwilson", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
+        proc = subprocess.run([*launcher, *argv], stdout=full, stderr=subprocess.PIPE,
+                              text=True)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
@@ -488,14 +482,10 @@ def test_failed_write_exits_3_without_traceback(argv):
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
 @pytest.mark.parametrize("argv", UNWRITTEN_REPORTS, ids=UNWRITTEN_IDS)
-def test_closed_stdout_exits_3_without_traceback(argv):
+def test_closed_stdout_exits_3_without_traceback(launcher, argv):
     # With fd 1 closed, sys.stdout is None: nothing can be written, so nothing is computed.
-    proc = subprocess.run(
-        [sys.executable, "-m", "diffwilson", *argv],
-        stderr=subprocess.PIPE,
-        text=True,
-        preexec_fn=lambda: os.close(1),
-    )
+    proc = subprocess.run([*launcher, *argv], stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1))
     assert proc.returncode == 3
     assert proc.stderr == "error: cannot write the report: stdout is closed\n"
 
@@ -511,15 +501,11 @@ CLOSED_STDERR_REFUSALS = [
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 2 in the child before exec")
 @pytest.mark.parametrize("argv", CLOSED_STDERR_REFUSALS,
                          ids=["text", "json", "n-budget", "terms-budget"])
-def test_refusal_with_closed_stderr_writes_nothing(argv):
+def test_refusal_with_closed_stderr_writes_nothing(launcher, argv):
     # With fd 2 closed, sys.stderr is None, and print(file=None) would put the error
     # line on stdout, where a reader takes it for the report; the code alone must tell.
-    proc = subprocess.run(
-        [sys.executable, "-m", "diffwilson", *argv],
-        stdout=subprocess.PIPE,
-        text=True,
-        preexec_fn=lambda: os.close(2),
-    )
+    proc = subprocess.run([*launcher, *argv], stdout=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(2))
     assert (proc.returncode, proc.stdout) == (2, "")
 
 
@@ -554,25 +540,21 @@ def _buffered_env():
 
 def _exit_code_with_stderr_full(argv, stdout_full, env=None):
     with open("/dev/full", "w") as full:
-        return subprocess.run(
-            [sys.executable, "-m", "diffwilson", *argv],
-            stdout=full if stdout_full else subprocess.DEVNULL,
-            stderr=full,
-            env=env,
-        ).returncode
+        return subprocess.run(argv, stdout=full if stdout_full else subprocess.DEVNULL,
+                              stderr=full, env=env).returncode
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
 @STDERR_FULL
-def test_unwritable_stderr_keeps_the_exit_code(argv, stdout_full, code):
+def test_unwritable_stderr_keeps_the_exit_code(launcher, argv, stdout_full, code):
     # The error line cannot be written either; the code alone must still tell.
-    assert _exit_code_with_stderr_full(argv, stdout_full) == code
+    assert _exit_code_with_stderr_full([*launcher, *argv], stdout_full) == code
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
 @STDERR_FULL
-def test_unwritable_buffered_stderr_keeps_the_exit_code(argv, stdout_full, code):
-    assert _exit_code_with_stderr_full(argv, stdout_full, _buffered_env()) == code
+def test_unwritable_buffered_stderr_keeps_the_exit_code(launcher, argv, stdout_full, code):
+    assert _exit_code_with_stderr_full([*launcher, *argv], stdout_full, _buffered_env()) == code
 
 
 def _help_texts():
@@ -590,14 +572,14 @@ def test_help_is_written_by_main(capsys):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_unwritable_help_exits_3(unbuffered):
+def test_unwritable_help_exits_3(launcher, unbuffered):
     # Unbuffered, the write itself fails; buffered, the flush after it does.
     env = _buffered_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "diffwilson", "--help"],
-                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        proc = subprocess.run([*launcher, "--help"], stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env)
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: cannot write the report: ")
     assert len(proc.stderr.splitlines()) == 1
@@ -605,10 +587,10 @@ def test_unwritable_help_exits_3(unbuffered):
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child before exec")
-def test_help_to_closed_stdout_exits_3():
+def test_help_to_closed_stdout_exits_3(launcher):
     # argparse alone would print the help to stderr instead and exit 0.
-    proc = subprocess.run([sys.executable, "-m", "diffwilson", "--help"],
-                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    proc = subprocess.run([*launcher, "--help"], stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1))
     assert proc.returncode == 3
     assert proc.stderr == "error: cannot write the report: stdout is closed\n"
 
@@ -632,13 +614,10 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 @pytest.mark.parametrize("argv", BIG_REPORTS, ids=[" ".join(a) for a in BIG_REPORTS])
-def test_big_json_report_peaks_under_40_mb(argv):
+def test_big_json_report_peaks_under_40_mb(launcher, argv):
     # A report built whole before it is written peaks near 80 MB.
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_KIB, sys.executable, "-m", "diffwilson", *argv],
-        capture_output=True,
-        text=True,
-    )
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_KIB, *launcher, *argv],
+                          capture_output=True, text=True)
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0
     assert peak_kib / 1024 < 40, peak_kib
@@ -1004,25 +983,21 @@ def test_plain_value_error_escapes_main(monkeypatch):
     assert not isinstance(excinfo.value, DomainError)
 
 
-def test_zero_denominator_exits_2_without_traceback():
-    proc = subprocess.run(
-        [sys.executable, "-m", "diffwilson", "identity", "--n", "3", "--x", "1/0"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "invalid rational value: '1/0'" in proc.stderr
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["identity", "--n", "3", "--x", "1/0"], "invalid rational value: '1/0'"),
+        (["wilson", "10000001"], "over the budget"),
+        (["identity", "--n", "3000", "--x", "1", "--symbolic"], "over the budget"),
+        (["wilson", "5", "--max-wilson", "9"], "unrecognized arguments: --max-wilson 9"),
+    ],
+    ids=["zero-denominator", "n-budget", "terms-budget", "removed-flag"],
+)
+def test_refusal_exits_2_without_traceback(launcher, argv, fragment):
+    proc = subprocess.run([*launcher, *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-def test_default_wilson_bound_is_enforced(capsys):
-    assert cli.main(["wilson", "10000001"]) == 2
-    assert "over the budget" in capsys.readouterr().err
-    assert cli.main(["wilson-range", "2", "10000001"]) == 2
-    capsys.readouterr()
-    assert cli.main(["wilson-range", "10000001", "10000001"]) == 2
-    assert "over the budget" in capsys.readouterr().err
 
 
 def _never(*args):
@@ -1091,10 +1066,12 @@ def test_requests_in_use_are_within_budget(capsys, monkeypatch, argv):
     assert capsys.readouterr().err == ""
 
 
-# The widest symbolic request of three shapes that the terms budget admits, each about a
-# second of work (see cli.BUDGET), and the next n of each shape, which it refuses.  The
-# last request costs almost only math.comb's weights C(n, i), about 10 s of them.
-SYMBOLIC_EDGES = [
+# The widest request of each shape that each budgeted unit admits (see cli.BUDGET), and
+# the next one, which it refuses.  The widest symbolic requests are about a second of work
+# each; the last of them costs almost only math.comb's weights C(n, i), and n = 10000
+# about 10 s of them.
+BUDGET_EDGES = [
+    # terms
     (["identity", "--n", "1058", "--x", "1", "--symbolic"], True),
     (["identity", "--n", "1059", "--x", "1", "--symbolic"], False),
     (["lower-power", "--n", "1947", "--j", "1461", "--x", "1", "--symbolic"], True),
@@ -1102,19 +1079,49 @@ SYMBOLIC_EDGES = [
     (["lower-power", "--n", "4303", "--j", "4302", "--x", "1", "--symbolic"], True),
     (["lower-power", "--n", "4304", "--j", "4303", "--x", "1", "--symbolic"], False),
     (["lower-power", "--n", "10000", "--j", "9990", "--x", "1", "--symbolic"], False),
+    (["congruence", "fermat", "150000"], True),
+    (["congruence", "fermat", "150001"], False),
+    (["congruence", "power-sum", "150000"], True),
+    (["congruence", "power-sum", "150001"], False),
+    (["difftable", "--degree", "0", "--points", "150000"], True),
+    (["difftable", "--degree", "0", "--points", "150001"], False),
+    # bits; ten default points at n = 755 is the one edge that sees n + 2 for n + 1
+    (["identity", "--n", "755", "--seed", "1"], True),
+    (["identity", "--n", "756", "--seed", "1"], False),
+    (["identity", "--n", "3037", "--x", "1"], True),
+    (["identity", "--n", "3038", "--x", "1"], False),
+    (["lower-power", "--n", "3038", "--j", "1", "--x", "1"], True),
+    (["lower-power", "--n", "3039", "--j", "1", "--x", "1"], False),
+    (["congruence", "binom", "10954"], True),
+    (["congruence", "binom", "10955"], False),
+    (["congruence", "eq1", "3038"], True),
+    (["congruence", "eq1", "3039"], False),
+    (["difftable", "--degree", "100", "--points", "1130"], True),
+    (["difftable", "--degree", "100", "--points", "1131"], False),
+    # bits of a wilson-range: its remainder tree, then the prefix (lo-1)! of a high range
+    (["wilson-range", "2", "332410"], True),
+    (["wilson-range", "2", "332411"], False),
+    (["wilson-range", "4219986", "4224986"], True),
+    (["wilson-range", "4219987", "4224987"], False),
+    # n
+    (["wilson", "10000000"], True),
+    (["wilson", "10000001"], False),
+    (["wilson-range", "10000001", "10000001"], False),
+    (["wilson-range", "2", "10000001"], False),
 ]
 
 
-@pytest.mark.parametrize("argv,admitted", SYMBOLIC_EDGES,
-                         ids=[" ".join(argv) for argv, _ in SYMBOLIC_EDGES])
-def test_symbolic_terms_budget_edges(capsys, monkeypatch, argv, admitted):
+@pytest.mark.parametrize("argv,admitted", BUDGET_EDGES,
+                         ids=[" ".join(argv) for argv, _ in BUDGET_EDGES])
+def test_budget_edges(capsys, monkeypatch, argv, admitted):
+    # Each priced unit on both sides of its edge; no request reaches any work.
     _stub_entry_points(monkeypatch, _started)
     if admitted:
         with pytest.raises(_Started):
             cli.main(argv)
     else:
         assert cli.main(argv) == 2
-        assert "exact terms, over the budget" in capsys.readouterr().err
+        assert "over the budget" in capsys.readouterr().err
 
 
 FLAGS = {

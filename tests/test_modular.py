@@ -520,3 +520,49 @@ def test_congruence_verdict_follows_its_entries(
     assert report.entries[:index] + report.entries[rest] == (
         honest.entries[:index] + honest.entries[rest]
     )
+
+
+# Negative controls: the arithmetic of each link of the chain at composite n, with the
+# primality guards lifted.  They pin where the derivation uses primality.
+
+COMPOSITES_500 = [n for n in range(4, 501) if not PRIME[n]]
+
+
+@pytest.fixture
+def unguarded(monkeypatch):
+    monkeypatch.setattr(modular, "_require_prime", lambda p: None)
+    monkeypatch.setattr(modular, "_require_odd_prime", lambda p: None)
+
+
+def test_binomial_and_fermat_links_fail_at_every_composite(unguarded):
+    for n in COMPOSITES_500:
+        assert not binomial_row_mod(n).holds, n
+        assert not fermat_check(n).holds, n
+
+
+def test_identity_at_zero_holds_at_every_composite(unguarded):
+    # An identity true for every n holds at a composite too.
+    for n in (n for n in COMPOSITES_500 if n <= 300):
+        assert identity_at_zero_mod(n).holds, n
+
+
+def test_power_sum_is_n_minus_1_at_odd_primes_only(unguarded):
+    # Giuga's conjecture, checked this far.  Whether power_sum_mod holds at a composite is
+    # not pinned: its expected value factorial_mod(n - 1, n) is 0 at most composites.
+    for n in range(3, 501):
+        total = power_sum_mod(n).entries[0].residue
+        assert (total == n - 1) == (PRIME[n] and n % 2 == 1), n
+
+
+def test_alternating_power_sum_is_taken_at_zero(monkeypatch):
+    # The identity does not depend on x, so no value can show a sum taken at x = 1.
+    calls = []
+    real = modular.eval_difference_sum
+
+    def spy(n, x):
+        calls.append((n, x))
+        return real(n, x)
+
+    monkeypatch.setattr(modular, "eval_difference_sum", spy)
+    assert alternating_power_sum_at_zero(13) == factorial(12)
+    assert calls == [(12, 0)]
