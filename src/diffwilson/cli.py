@@ -412,7 +412,7 @@ COMMANDS = (
     ("congruence", "per-index congruence report mod a prime", _cmd_congruence,
      _congruence_cost, _arg("kind", choices=sorted(_CONGRUENCE_KINDS),
           help="binom: binomial row vs alternating pattern; fermat: (p-1)-th powers;"
-          " power-sum: power sum vs factorial; eq1: the identity at x=0 reduced mod p"),
+          " power-sum: power sum vs p-1; eq1: the identity at x=0 reduced mod p"),
      _arg("p", type=int, help="prime modulus (odd for power-sum and eq1)")),
     ("difftable", "difference table of x**degree with its constant column", _cmd_difftable,
      _table_cost, _arg("--degree", type=int, required=True, help="monomial degree"),

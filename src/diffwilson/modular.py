@@ -241,14 +241,13 @@ def fermat_check(p: int) -> CongruenceReport:
 
 
 def power_sum_mod(p: int) -> CongruenceReport:
-    """sum_{i=0}^{p-1} i**(p-1) mod p against (p-1)! mod p, for odd prime p.
+    """sum_{i=0}^{p-1} i**(p-1) mod p against p-1, for odd prime p.
 
-    For genuine odd primes both sides equal p-1: the sum is p-1 ones.
+    The paper's count: by Fermat each nonzero base contributes 1, so the sum is p-1 ones.
     """
     _require_odd_prime(p)
     total = sum(mod_pow(i, p - 1, p) for i in range(p)) % p
-    entries = (CongruenceEntry(p - 1, total, factorial_mod(p - 1, p)),)
-    return _congruence(p, entries)
+    return _congruence(p, (CongruenceEntry(p - 1, total, p - 1),))
 
 
 def alternating_power_sum_at_zero(p: int) -> int:

@@ -155,7 +155,8 @@ def test_criterion_6_congruence_chain():
         ok = ok and alternating_power_sum_at_zero(p) == factorial(p - 1)
     _report(
         6,
-        "congruence chain holds for primes <= 2000, exact LHS = (p-1)! for odd p <= 200",
+        "congruence chain holds for primes <= 2000, power sum = p-1 for odd p,"
+        " exact LHS = (p-1)! for odd p <= 200",
         ok,
         t0,
         f"{len(ps)} primes",

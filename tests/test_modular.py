@@ -404,6 +404,14 @@ def test_power_sum_mod_residue_is_p_minus_1():
         assert report.entries[0].expected == p - 1
 
 
+def test_power_sum_mod_does_not_read_the_wilson_residue(monkeypatch):
+    # Its expected value is the paper's count of p - 1 ones, not (p-1)! mod p.
+    honest = {p: power_sum_mod(p) for p in (3, 5, 7, 13)}
+    monkeypatch.setattr(modular, "factorial_mod", _one_past_factorial_mod(modular.factorial_mod))
+    assert {p: power_sum_mod(p) for p in honest} == honest
+    assert identity_at_zero_mod(7).holds is False  # the lie is live where it is read
+
+
 def test_power_sum_mod_rejects_two_and_composites():
     with pytest.raises(DomainError, match="p - 1 even"):
         power_sum_mod(2)
@@ -547,11 +555,12 @@ def test_identity_at_zero_holds_at_every_composite(unguarded):
 
 
 def test_power_sum_is_n_minus_1_at_odd_primes_only(unguarded):
-    # Giuga's conjecture, checked this far.  Whether power_sum_mod holds at a composite is
-    # not pinned: its expected value factorial_mod(n - 1, n) is 0 at most composites.
+    # Giuga's conjecture, checked this far.
     for n in range(3, 501):
-        total = power_sum_mod(n).entries[0].residue
-        assert (total == n - 1) == (PRIME[n] and n % 2 == 1), n
+        report = power_sum_mod(n)
+        odd_prime = PRIME[n] and n % 2 == 1
+        assert (report.entries[0].residue == n - 1) == odd_prime, n
+        assert report.holds == odd_prime, n
 
 
 def test_alternating_power_sum_is_taken_at_zero(monkeypatch):
