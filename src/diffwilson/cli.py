@@ -43,7 +43,7 @@ import random
 import sys
 from contextlib import redirect_stdout
 from functools import cache, partial
-from itertools import chain, tee
+from itertools import chain, islice, tee
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import (
@@ -79,7 +79,9 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 DEFAULT_TRIALS = 10
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that hung up
-JSON_BATCH = 512  # leaf values per json.dumps call when a report streams an array
+# Values per json.dumps call when a report streams an array: 512 scalars of a column, or
+# 512 // 4 = 128 identity results and 512 // 3 = 170 congruence entries (see _json_array).
+JSON_BATCH = 512
 
 
 class Cost(NamedTuple):
@@ -175,8 +177,7 @@ def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
     """One JSON object and its newline, in pieces: the text json.dumps gives for the
     object, read from fields one at a time.  A callable value is called when it is reached,
     so it may read what the iterators before it settled.  A value that is an iterator is
-    written as an array, one json.dumps call per batch of about JSON_BATCH leaf values (a
-    run of small items, or a single item as big as a batch), and every other value whole."""
+    written as an array by _json_array, and every other value whole."""
     import json  # here, not at the top: only a JSON report loads it
 
     yield "{"
@@ -186,21 +187,32 @@ def _json_pieces(fields: Iterable[tuple[str, object]]) -> Iterator[str]:
         sep = ", "
         if callable(value):
             value = value()
-        if not isinstance(value, Iterator):
+        if isinstance(value, Iterator):
+            yield from _json_array(value, json.dumps)
+        else:
             yield json.dumps(value)
-            continue
-        yield "["
-        comma, batch, leaves = "", [], 0
-        for item in value:
-            batch.append(item)
-            leaves += len(item) if isinstance(item, (list, dict)) else 1
-            if leaves >= JSON_BATCH:
-                yield comma + json.dumps(batch)[1:-1]
-                comma, batch, leaves = ", ", [], 0
-        if batch:
-            yield comma + json.dumps(batch)[1:-1]
-        yield "]"
     yield "}\n"
+
+
+def _json_array(items: Iterator, dumps: Callable[[object], str]) -> Iterator[str]:
+    """The array of items in pieces.  An item that is itself an iterator is written as a
+    nested array, the same way.  Any other item starts a batch that islice cuts from items
+    and one dumps call writes, so a batch takes no Python step per value: JSON_BATCH
+    scalars, or JSON_BATCH // len(item) lists or dicts as long as this first one (one at
+    least).  The items of an array are taken to be alike, all iterators or none: an
+    iterator drawn into a batch reaches dumps, which refuses it."""
+    yield "["
+    comma = ""
+    for item in items:
+        yield comma
+        comma = ", "
+        if isinstance(item, Iterator):
+            yield from _json_array(item, dumps)
+            continue
+        leaves = len(item) if isinstance(item, (list, dict)) else 1
+        count = JSON_BATCH // max(leaves, 1) or 1  # items in the batch, item included
+        yield dumps([item, *islice(items, count - 1)])[1:-1]
+    yield "]"
 
 
 def _report(args: argparse.Namespace, check: str, params: dict, body: dict,
@@ -208,7 +220,9 @@ def _report(args: argparse.Namespace, check: str, params: dict, body: dict,
     """Write one single-result report as it is produced and return its verdict.
 
     body is the report's only record, written as JSON by _json_pieces; its iterators go
-    out in bounded batches, so a reader that hangs up early sees a partial object.
+    out in batches of about JSON_BATCH values, an iterator of iterators (difftable's
+    columns) as nested arrays one after the other, so a reader that hangs up early sees
+    a partial object.
     lines, a lazy view of body, is read only for text, one line at a time.
     holds() is called only once the body is written, so a handler may settle the
     verdict from a column as that column streams past; main maps it to exit 0 or 1.
@@ -370,7 +384,7 @@ def _cmd_difftable(args: argparse.Namespace) -> bool:
         return len(cols) == degree + 1 and all(v == expected for v in last)
 
     d, pts, constant = str(degree), str(points), str(expected)
-    body = {"columns": (list(map(str, col)) for col in cols), "constant_column": d,
+    body = {"columns": (map(str, col) for col in cols), "constant_column": d,
             "constant_value": constant}
 
     def lines() -> Iterator[str]:
