@@ -23,6 +23,11 @@ Each subcommand is one row of COMMANDS.  main prices a request with its
 row's cost function and refuses one over BUDGET, which no flag changes,
 before the row's handler does any work.
 
+run is the process entry, of ``python -m diffwilson`` and of the installed
+``diffwilson`` script alike: it returns main's exit code and then freezes the
+heap, so the interpreter's shutdown collections skip what the run left alive.
+main(argv) is the in-process API and never touches the garbage collector.
+
 Exit codes: 0 all checks hold; 1 a mathematically guaranteed identity
 failed, which signals an implementation bug, never a usage problem;
 2 usage error, from argparse or any DomainError (every library, flag and
@@ -37,6 +42,7 @@ cannot be written, or has no stderr to go to, leaves code 2 or 3 as it is.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import random
@@ -501,3 +507,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError:  # stderr cannot be written either, so the code alone tells
         _to_devnull(sys.stderr.fileno())
     return code
+
+
+def run() -> int:
+    """The process entry: main's exit code, or its exception, passes through unchanged.
+    The process ends next, so once main has finished every live object is frozen into
+    the permanent generation, which no collection scans, shutdown's included; atexit
+    handlers and the final flush of stdout and stderr still run."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

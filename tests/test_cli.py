@@ -6,6 +6,7 @@ cannot produce, so those paths are driven by monkeypatched verifiers.
 """
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -54,8 +55,10 @@ GOLDEN_CASES = [
 
 @pytest.mark.parametrize("fname,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_golden(capsys, fname, argv):
+    frozen = gc.get_freeze_count()  # main is the in-process API: it leaves GC state alone
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / fname).read_text()
+    assert gc.get_freeze_count() == frozen
 
 
 def test_json_lines_parse_in_every_golden():
@@ -442,6 +445,52 @@ def test_entry_point_runs(launcher):
     proc = subprocess.run([*launcher, "--help"], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("usage: diffwilson ")
+
+
+@pytest.mark.parametrize("outcome", [0, 1, 3, 141, SystemExit(2), ValueError("stub")],
+                         ids=repr)
+def test_run_passes_main_through_then_freezes_once(monkeypatch, outcome):
+    events = []
+
+    def main():
+        events.append("main")
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    if isinstance(outcome, BaseException):
+        with pytest.raises(type(outcome)) as raised:
+            cli.run()
+        assert raised.value is outcome
+    else:
+        assert cli.run() == outcome
+    assert events == ["main", "freeze"]
+
+
+# Starts the process the way the launcher after -c names it, with an atexit hook that
+# reports on stderr whether the heap was frozen: so the freeze must happen, and atexit
+# must still run.  The count is compared with its start, as CPython 3.12 starts above 0.
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda start=gc.get_freeze_count():
+                print(gc.get_freeze_count() > start, file=sys.stderr))
+if sys.argv[1] == "-m":
+    del sys.argv[:2]
+    runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
+else:
+    del sys.argv[:1]
+    runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_process_freezes_the_heap_before_atexit(launcher):
+    python, start = launcher[:3], launcher[3:]
+    proc = subprocess.run([*python, "-c", _FREEZE_PROBE, *start, "wilson", "5"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+    assert proc.stdout == (GOLDEN_DIR / "wilson_5.txt").read_text()
 
 
 def test_closed_pipe_exits_141_without_traceback(launcher):
